@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test tier1 race bench fmt vet benchreport
+.PHONY: all build test tier1 race bench fmt vet
 
 all: tier1
 
@@ -23,9 +23,6 @@ race:
 
 bench:
 	$(GO) test -run XXX -bench . -benchtime 1x .
-
-benchreport:
-	$(GO) run ./cmd/benchreport
 
 fmt:
 	gofmt -l .

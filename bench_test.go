@@ -535,8 +535,8 @@ func BenchmarkOffsetsWarmStart(b *testing.B) {
 // axisHeavySrc is the rank-4 workload for the §3 compact DP itself:
 // strided rank-4 sections, a transpose pair, and index sections give the
 // solver a nontrivial candidate-label space (many distinct axis/stride
-// labels, >100 node configurations) where the pre-PR solver's string
-// keys and full-sweep re-evaluation dominate.
+// labels, >100 node configurations) where label interning and the
+// flat DP state pay off.
 const axisHeavySrc = `
 real A(64,64,64,64), B(128,128,128,128), C(64,64), D(64,64), V(64)
 do k = 1, 16
@@ -548,17 +548,44 @@ do k = 1, 16
 enddo
 `
 
-func buildGraph(b *testing.B, src string) *adg.Graph {
-	b.Helper()
+func buildGraph(tb testing.TB, src string) *adg.Graph {
+	tb.Helper()
 	info, err := lang.Analyze(lang.MustParse(src))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	g, err := build.Build(info)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return g
+}
+
+// checkAllocs gates the steady-state allocations of a pooled hot path:
+// f runs once to warm its pools, then AllocsPerRun averages runs more
+// calls, which must stay at or below gate. The gates carry generous
+// headroom over the measured steady state, so a breach means a pooled
+// path started allocating per solve again. Skipped under the race
+// detector, whose instrumentation allocates and would invalidate the
+// gate.
+func checkAllocs(t *testing.T, runs int, gate float64, f func() error) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates, invalidating AllocsPerRun")
+	}
+	var err error
+	allocs := testing.AllocsPerRun(runs, func() {
+		if e := f(); e != nil && err == nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%.0f allocs/op (gate %.0f)", allocs, gate)
+	if allocs > gate {
+		t.Errorf("%.0f allocs/op, want <= %.0f", allocs, gate)
+	}
 }
 
 // minTime returns the fastest of tries timings of f over reps
@@ -581,18 +608,17 @@ func minTime(b *testing.B, tries, reps int, f func() error) time.Duration {
 	return best
 }
 
-// BenchmarkAxisStride — the flat pooled DP against the two retained
-// baselines on the DP-heavy rank-4 workload and the examples/ programs:
-// the pre-PR string-keyed solver (AxisStrideLegacy, gated ≥ 3×) and the
+// BenchmarkAxisStride — the flat pooled DP against the retained
 // interned-label slice-state solver it replaced (AxisStrideInterned,
 // 2.1–2.3× quiet, gated ≥ 1.8× to clear mid-suite GC-pool noise on a
-// single-CPU host). ns/op and allocs/op measure
-// the production solver warm (the pooled steady state the batch engine
-// runs in); a warm-up solve before ResetTimer charges the pool's
-// first-fill to setup. All solvers share candidate generation, so the
-// ratios isolate config enumeration + optimization. Byte-identical
-// output across parallelism levels is asserted by
-// TestAxisStrideDeterminism and TestDPStateDeterminism.
+// single-CPU host) on the DP-heavy rank-4 workload and the examples/
+// programs. ns/op and allocs/op measure the production solver warm (the
+// pooled steady state the batch engine runs in); a warm-up solve before
+// ResetTimer charges the pool's first-fill to setup. Both solvers share
+// candidate generation, so the ratio isolates config enumeration +
+// optimization. Byte-identical output across parallelism levels is
+// asserted by TestAxisStrideDeterminism and TestDPStateDeterminism;
+// TestAxisStrideAllocs bounds the steady-state allocs/op.
 func BenchmarkAxisStride(b *testing.B) {
 	workloads := []struct{ name, src string }{
 		{"rank4", axisHeavySrc},
@@ -613,12 +639,12 @@ func BenchmarkAxisStride(b *testing.B) {
 			if _, err := align.AxisStride(g); err != nil { // warm the pools
 				b.Fatal(err)
 			}
-			// The three solvers are measured in interleaved rounds (not
+			// The two solvers are measured in interleaved rounds (not
 			// one solver at a time) so a burst of host or GC noise lands
-			// on all of them instead of skewing whichever solver owned
-			// that window — the gates below compare ratios, and the min
-			// per solver across rounds cancels common-mode slowdowns.
-			legacy, internedT, flat := time.Duration(-1), time.Duration(-1), time.Duration(-1)
+			// on both instead of skewing whichever solver owned that
+			// window — the gate below compares a ratio, and the min per
+			// solver across rounds cancels common-mode slowdowns.
+			internedT, flat := time.Duration(-1), time.Duration(-1)
 			meas := func(cur *time.Duration, f func() error) {
 				t0 := time.Now()
 				for r := 0; r < 8; r++ {
@@ -631,10 +657,6 @@ func BenchmarkAxisStride(b *testing.B) {
 				}
 			}
 			for t := 0; t < 4; t++ {
-				meas(&legacy, func() error {
-					_, err := align.AxisStrideLegacy(g)
-					return err
-				})
 				meas(&internedT, func() error {
 					_, err := align.AxisStrideInterned(g)
 					return err
@@ -654,29 +676,33 @@ func BenchmarkAxisStride(b *testing.B) {
 				stats = as.Stats
 			}
 			b.StopTimer()
-			speedup := float64(legacy) / float64(flat)
-			speedupInt := float64(internedT) / float64(flat)
-			b.ReportMetric(speedup, "speedup-vs-legacy")
-			b.ReportMetric(speedupInt, "speedup-vs-interned")
+			speedup := float64(internedT) / float64(flat)
+			b.ReportMetric(speedup, "speedup-vs-interned")
 			b.ReportMetric(float64(stats.Labels), "labels")
 			b.ReportMetric(float64(stats.Configs), "configs")
 			b.ReportMetric(float64(stats.Sweeps), "sweeps")
-			if w.name == "rank4" && speedup < 3 {
-				b.Errorf("flat DP speedup %.2fx < 3x over string-keyed solver on rank-4 workload (legacy %v, flat %v)",
-					speedup, legacy, flat)
-			}
 			// Quiet-state ratio is 2.1–2.3x, but mid-suite (after E7's
 			// heap churn, which GC-clears the flat solver's pools) it
 			// measures 1.9–2.0x even with the interleaved protocol and
 			// forced collection above, so the gate carries margin below
 			// the in-suite floor. A real regression — flat losing its
 			// pooled advantage — lands near 1x and still trips it.
-			if w.name == "rank4" && speedupInt < 1.8 {
+			if w.name == "rank4" && speedup < 1.8 {
 				b.Errorf("flat DP speedup %.2fx < 1.8x over interned-label solver on rank-4 workload (interned %v, flat %v)",
-					speedupInt, internedT, flat)
+					speedup, internedT, flat)
 			}
 		})
 	}
+}
+
+// TestAxisStrideAllocs bounds the warm flat DP on the rank-4 workload
+// (measured ~690 allocs/op) at 2000.
+func TestAxisStrideAllocs(t *testing.T) {
+	g := buildGraph(t, axisHeavySrc)
+	checkAllocs(t, 20, 2000, func() error {
+		_, err := align.AxisStride(g)
+		return err
+	})
 }
 
 // BenchmarkOffsetSolver — the two-tier offset LP engine against the
@@ -747,10 +773,10 @@ func BenchmarkOffsetSolver(b *testing.B) {
 // bases) and is reported as a metric, un-gated: its ratio isolates
 // presolve from the shared RLP-build and moments work, which dilutes
 // it below the 2× the whole phase gains over the pre-presolve
-// baseline recorded in BENCH_align.json. ns/op times one presolved
-// refinement round; scripts/ci.sh bounds its -benchmem allocs/op so
-// presolve scratch stays pool-resident. Parallelism is pinned to 1 so
-// the ratio compares solver work, not scheduling.
+// baseline recorded in EXPERIMENTS.md's E17 row. ns/op times one
+// presolved refinement round; TestOffsetSolverPresolveAllocs bounds its
+// allocs/op so presolve scratch stays pool-resident. Parallelism is
+// pinned to 1 so the ratio compares solver work, not scheduling.
 func BenchmarkOffsetSolverPresolve(b *testing.B) {
 	g := buildGraph(b, axisHeavySrc)
 	as, err := align.AxisStride(g)
@@ -828,6 +854,41 @@ func BenchmarkOffsetSolverPresolve(b *testing.B) {
 		b.Errorf("presolved refinement round speedup %.2fx < 2x on rank4-dp offsets (presolve on %v, off %v)",
 			roundSpeedup, onRound, offRound)
 	}
+}
+
+// TestOffsetSolverPresolveAllocs bounds one presolved §6 refinement
+// round on rank4-dp (measured ~780 allocs/op) at 3000: the round that
+// BenchmarkOffsetSolverPresolve times, alternating the two labelings
+// so every round re-solves dirty blocks warm.
+func TestOffsetSolverPresolveAllocs(t *testing.T) {
+	g := buildGraph(t, axisHeavySrc)
+	as, err := align.AxisStride(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repl0, err := align.Replicate(g, as, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver := align.NewOffsetSolver(g, as, align.OffsetOptions{
+		Strategy: align.StrategyFixed, M: 3, Presolve: lp.PresolveAuto, Parallelism: 1,
+	})
+	res, err := solver.Solve(repl0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mobile := func(p *adg.Port, ax int) bool { return !res.Offsets[p.ID][ax].IsConst() }
+	repl1, err := align.Replicate(g, as, mobile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repls := [2]*align.ReplResult{repl0, repl1}
+	k := 0
+	checkAllocs(t, 8, 3000, func() error {
+		k = 1 - k
+		_, err := solver.Solve(repls[k])
+		return err
+	})
 }
 
 // BenchmarkOffsetSolverPresolveFig1 — the presolve size floor: fig1's
@@ -909,6 +970,23 @@ func BenchmarkOffsetSolverPresolveFig1(b *testing.B) {
 	}
 }
 
+// TestOffsetSolverPresolveFig1Allocs bounds fig1's cold offsets phase
+// under the presolve size floor (measured ~5.5k allocs/op) at 12000.
+func TestOffsetSolverPresolveFig1Allocs(t *testing.T) {
+	g := buildGraph(t, determinismSources["fig1"])
+	as, err := align.AxisStride(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repl := align.NoReplication(g)
+	checkAllocs(t, 8, 12000, func() error {
+		_, err := align.Offsets(g, as, repl, align.OffsetOptions{
+			Strategy: align.StrategyFixed, M: 3, Parallelism: 1,
+		})
+		return err
+	})
+}
+
 // BenchmarkAlignCached — the content-addressed pipeline cache: aligning
 // an unchanged program again is O(hash + rehydrate). ns/op times the
 // cache-hit path; the cold path re-solves into a fresh cache each
@@ -983,7 +1061,8 @@ func BenchmarkAlignCached(b *testing.B) {
 // BenchmarkFrontend — the cold front end alone (lex → parse → sema →
 // ADG build) on the rank-4 workload: the work a source-memo miss pays
 // before solving, and the path the pooled lexer/parser arenas and the
-// ADG node/port/edge arena optimize. allocs/op is gated in ci.sh.
+// ADG node/port/edge arena optimize. allocs/op is gated by
+// TestFrontendAllocs.
 func BenchmarkFrontend(b *testing.B) {
 	b.ReportAllocs()
 	var toks []lang.Token
@@ -1005,6 +1084,28 @@ func BenchmarkFrontend(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestFrontendAllocs bounds the cold front end on the rank-4 workload
+// (measured ~250 allocs/op) at 400.
+func TestFrontendAllocs(t *testing.T) {
+	var toks []lang.Token
+	checkAllocs(t, 20, 400, func() error {
+		var err error
+		if toks, err = lang.LexInto(axisHeavySrc, toks[:0]); err != nil {
+			return err
+		}
+		prog, err := lang.ParseTokens(toks)
+		if err != nil {
+			return err
+		}
+		info, err := lang.Analyze(prog)
+		if err != nil {
+			return err
+		}
+		_, err = build.Build(info)
+		return err
+	})
 }
 
 // BenchmarkHitPath — the source-keyed memo tier: re-aligning an
@@ -1159,6 +1260,22 @@ func BenchmarkBatchThroughput(b *testing.B) {
 		}
 		b.ReportMetric(float64(computes), "unique-solves")
 		b.ReportMetric(float64(shared), "flight-shared")
+	})
+}
+
+// TestBatchThroughputAllocs bounds one AlignBatch pass over the 32
+// distinct mixed programs at GOMAXPROCS workers (measured ~235k
+// allocs/op) at 700k.
+func TestBatchThroughputAllocs(t *testing.T) {
+	srcs := batchWorkload(32)
+	opts := DefaultOptions()
+	checkAllocs(t, 1, 700000, func() error {
+		for _, br := range AlignBatch(srcs, opts, BatchOptions{Workers: runtime.GOMAXPROCS(0)}) {
+			if br.Err != nil {
+				return br.Err
+			}
+		}
+		return nil
 	})
 }
 

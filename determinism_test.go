@@ -10,12 +10,14 @@ import (
 	"repro/internal/align"
 	"repro/internal/build"
 	"repro/internal/lang"
+	"repro/internal/lp"
 )
 
 // The per-template-axis offset problems solve on a worker pool and merge
 // in axis order, so the pipeline must produce byte-identical alignments
-// for every Parallelism setting. These are the example programs plus a
-// rank-4 workload that actually exercises the multi-axis fan-out.
+// for every Parallelism setting. These are the example programs, a
+// rank-4 workload that actually exercises the multi-axis fan-out, and
+// two straight-line shift programs that reach the network flow path.
 var determinismSources = map[string]string{
 	"fig1": `
 real A(100,100), V(200)
@@ -57,6 +59,30 @@ do k = 1, 8
   B(k:k+8,1:24,1:24,1:24) = B(k:k+8,1:24,1:24,1:24) * 2
   C(k:k+8,1:24,1:24,1:24) = C(k:k+8,1:24,1:24,1:24) + A(k+1:k+9,1:24,1:24,1:24)
 enddo
+`,
+	// A straight-line (LIV-free) 2D shift program: every per-axis
+	// offset RLP is network-shaped, so the flow path answers all of
+	// them without running any simplex.
+	"shift2d": `
+real A(100,100), B(100,100), C(100,100)
+A(1:98,1:98) = B(3:100,2:99) + C(2:99,3:100)
+C(1:98,1:98) = A(2:99,2:99) * 2
+B(1:98,1:98) = A(1:98,1:98) + C(1:98,1:98)
+`,
+	// A loop whose ports carry LIV coefficients (the T/U group: its θ
+	// rows couple (c0, ck) pairs, which no network model can express)
+	// beside a straight-line shift group (A/B/C) sharing no arrays with
+	// it. Whole-problem NetworkForm fails on the mobile rows, so the
+	// monolithic engine makes zero net solves; the presolver splits
+	// each axis into two blocks and answers the straight-line block on
+	// the flow path (pinned by TestPresolveDeterminism).
+	"mixed": `
+real A(100,100), B(100,100), C(100,100), T(100,100), U(100,100)
+do k = 1, 50
+  T(k,1:100) = T(k,1:100) + U(k,1:100)
+enddo
+A(1:98,1:98) = B(3:100,2:99) + C(2:99,3:100)
+C(1:98,1:98) = A(2:99,2:99) * 2
 `,
 }
 
@@ -245,8 +271,36 @@ func normalizeEffortReport(s string) string {
 // identical exact and total costs: the §6 warm re-solves may land on
 // different (equally optimal) degenerate vertices monolithically than
 // block-wise, which is exactly why the toggle is part of the pipeline
-// cache key (TestCacheKeyPresolveToggle).
+// cache key (TestCacheKeyPresolveToggle). The mixed program also pins
+// the partial-network case on its whole-graph offsets phase: the
+// monolithic engine makes no net solves, while presolve routes the
+// straight-line blocks to the flow path at the same exact cost.
 func TestPresolveDeterminism(t *testing.T) {
+	t.Run("mixed-net-solves", func(t *testing.T) {
+		g := build.MustBuild(lang.MustAnalyze(lang.MustParse(determinismSources["mixed"])))
+		as, err := align.AxisStride(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		repl := align.NoReplication(g)
+		solve := func(mode lp.PresolveMode) *align.OffsetResult {
+			res, err := align.Offsets(g, as, repl, align.OffsetOptions{
+				Strategy: align.StrategyFixed, M: 3, Presolve: mode,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		}
+		off, on := solve(lp.PresolveOff), solve(lp.PresolveAuto)
+		if off.Exact != on.Exact {
+			t.Errorf("exact cost differs across the presolve toggle: off=%d on=%d", off.Exact, on.Exact)
+		}
+		if off.Stats.NetSolves != 0 || on.Stats.NetSolves == 0 {
+			t.Errorf("net solves off=%d on=%d, want 0 → >0", off.Stats.NetSolves, on.Stats.NetSolves)
+		}
+	})
+
 	for name, src := range determinismSources {
 		t.Run(name, func(t *testing.T) {
 			for _, repl := range []bool{false, true} {

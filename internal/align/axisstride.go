@@ -8,7 +8,6 @@ package align
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -23,15 +22,6 @@ import (
 type ASLabel struct {
 	AxisMap []int
 	Stride  []expr.Affine
-}
-
-// Key returns a canonical map key for the label.
-func (l ASLabel) Key() string {
-	var b strings.Builder
-	for d := range l.AxisMap {
-		fmt.Fprintf(&b, "%d:%s;", l.AxisMap[d], l.Stride[d])
-	}
-	return b.String()
 }
 
 func (l ASLabel) String() string {
@@ -106,9 +96,6 @@ type DPStats struct {
 	Evals int64
 	// ExpansionAccepts counts accepted chain-expansion moves.
 	ExpansionAccepts int64
-	// PrunedStarts counts perturbed restarts abandoned by the adaptive
-	// PruneSlack cutoff (always 0 when PruneSlack is off).
-	PrunedStarts int
 }
 
 func (s *DPStats) add(o DPStats) {
@@ -117,7 +104,6 @@ func (s *DPStats) add(o DPStats) {
 	s.Moves += o.Moves
 	s.Evals += o.Evals
 	s.ExpansionAccepts += o.ExpansionAccepts
-	s.PrunedStarts += o.PrunedStarts
 }
 
 // AxisStrideOptions configures the §3 solver.
@@ -131,17 +117,6 @@ type AxisStrideOptions struct {
 	// two canonical seeds (all-first and all-last configurations).
 	// Default 2; negative means none.
 	Restarts int
-	// PruneSlack, when > 0, adaptively prunes perturbed restarts
-	// (WFA-style): the two canonical seeds run to completion first, and
-	// a restart is abandoned as soon as its incumbent cost exceeds
-	// (1+PruneSlack)·min(canonical costs) after a sweep or an expansion
-	// pass. Pruning depends only on costs — never on goroutine timing —
-	// so the result is still identical at every Parallelism setting. A
-	// pruned restart can never be the winner (its cost exceeds a
-	// completed start's), so the chosen labeling equals the unpruned
-	// one whenever the winner is a canonical seed or survives the
-	// cutoff. Default 0 = off ⇒ byte-identical to the unpruned solver.
-	PruneSlack float64
 
 	// scratch, when non-nil, recycles the label intern table and the
 	// flat DP state arena across solves. Threaded in by the pipeline
@@ -163,9 +138,6 @@ func (o AxisStrideOptions) withDefaults() AxisStrideOptions {
 	}
 	if o.Restarts < 0 {
 		o.Restarts = 0
-	}
-	if o.PruneSlack < 0 {
-		o.PruneSlack = 0
 	}
 	return o
 }
@@ -464,17 +436,6 @@ func (s *asSolver) generateCandidates() error {
 		}
 	}
 	return nil
-}
-
-// candLabels materializes a port's candidate labels into dst, reusing
-// its storage (the hot path works on IDs; this is for callers that need
-// structural labels).
-func (s *asSolver) candLabels(p *adg.Port, dst []ASLabel) []ASLabel {
-	dst = dst[:0]
-	for _, id := range s.cand(p.ID) {
-		dst = append(dst, s.tab.label(id))
-	}
-	return dst
 }
 
 // compatibleSpaces checks that a label's mobile strides only reference
@@ -1143,10 +1104,7 @@ func perturbIndex(seed, node, n int) int {
 // states are carved from the scratch arena up front (disjoint regions),
 // then the starts run concurrently on a bounded worker pool; the winner
 // is the lowest-cost start with the lowest seed index, so the outcome is
-// identical at every parallelism level. With PruneSlack > 0 the two
-// canonical seeds run first and perturbed restarts are abandoned once
-// their incumbent cost exceeds (1+PruneSlack)·min(canonical costs) — a
-// cutoff fixed before any restart runs, so pruning is deterministic too.
+// identical at every parallelism level.
 func (s *asSolver) optimize(opts AxisStrideOptions) (DPStats, error) {
 	nStarts := 2 + opts.Restarts
 	scr := s.scr
@@ -1158,38 +1116,24 @@ func (s *asSolver) optimize(opts AxisStrideOptions) (DPStats, error) {
 	for i := range states {
 		s.carveState(&states[i])
 	}
-	runWave := func(lo, hi int, pruneAt float64) {
-		if par := min(opts.Parallelism, hi-lo); par <= 1 {
-			for seed := lo; seed < hi; seed++ {
-				states[seed].init(seed)
-				states[seed].run(opts.ctx, pruneAt)
-			}
-			return
-		} else {
-			var wg sync.WaitGroup
-			sem := make(chan struct{}, par)
-			for seed := lo; seed < hi; seed++ {
-				wg.Add(1)
-				sem <- struct{}{}
-				go func(seed int) {
-					defer func() { <-sem; wg.Done() }()
-					states[seed].init(seed)
-					states[seed].run(opts.ctx, pruneAt)
-				}(seed)
-			}
-			wg.Wait()
+	if par := min(opts.Parallelism, nStarts); par <= 1 {
+		for seed := range states {
+			states[seed].init(seed)
+			states[seed].run(opts.ctx)
 		}
-	}
-	noPrune := math.Inf(1)
-	if opts.PruneSlack > 0 && nStarts > 2 {
-		runWave(0, 2, noPrune)
-		ref := states[0].cost
-		if states[1].cost < ref {
-			ref = states[1].cost
-		}
-		runWave(2, nStarts, ref*(1+opts.PruneSlack))
 	} else {
-		runWave(0, nStarts, noPrune)
+		var wg sync.WaitGroup
+		sem := make(chan struct{}, par)
+		for seed := range states {
+			wg.Add(1)
+			sem <- struct{}{}
+			go func(seed int) {
+				defer func() { <-sem; wg.Done() }()
+				states[seed].init(seed)
+				states[seed].run(opts.ctx)
+			}(seed)
+		}
+		wg.Wait()
 	}
 	// A canceled solve returns the context's error rather than a labeling
 	// chosen from aborted starts (their trajectories stopped early, so the

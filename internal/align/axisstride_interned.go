@@ -23,8 +23,7 @@ func AxisStrideInterned(g *adg.Graph) (*AxisStrideResult, error) {
 }
 
 // AxisStrideInternedOpts is AxisStrideInterned with explicit options
-// (Parallelism, Restarts, and ctx are honored; the flat solver's
-// PruneSlack is not part of the frozen baseline and is ignored).
+// (Parallelism, Restarts, and ctx are honored).
 func AxisStrideInternedOpts(g *adg.Graph, opts AxisStrideOptions) (*AxisStrideResult, error) {
 	opts = opts.withDefaults()
 	s := &inSolver{g: g, tab: newInternTable(), cands: make([][]int32, len(g.Ports))}
@@ -173,16 +172,6 @@ func (s *inSolver) generateCandidates() error {
 		}
 	}
 	return nil
-}
-
-// candLabels materializes a port's candidate labels into dst (reused
-// across calls by the legacy baseline; the hot paths work on IDs).
-func (s *inSolver) candLabels(p *adg.Port, dst []ASLabel) []ASLabel {
-	dst = dst[:0]
-	for _, id := range s.cands[p.ID] {
-		dst = append(dst, s.tab.label(id))
-	}
-	return dst
 }
 
 // propagateNode derives new candidate labels for a node's ports from the

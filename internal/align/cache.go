@@ -140,7 +140,8 @@ func (c *Cache) shardFor(key string) *cacheShard {
 }
 
 // lock acquires the shard mutex, counting acquisitions that had to wait
-// (the contention signal benchreport's E13 row reports).
+// (the contention signal alignc's batch summary, /v1/stats and the
+// alignd_cache_contention_total metric report).
 func (s *cacheShard) lock(c *Cache) {
 	if !s.mu.TryLock() {
 		c.contended.Add(1)
@@ -555,7 +556,6 @@ func cacheKey(g *adg.Graph, opts Options) string {
 	w.int(int64(opts.AxisStride.Restarts))
 	w.int(int64(opts.Offset.Engine))
 	w.boolean(opts.Offset.NoNetPath)
-	w.float(opts.AxisStride.PruneSlack)
 	w.boolean(opts.Partition)
 	w.int(int64(opts.Offset.Presolve))
 	key := w.hexSum()

@@ -190,10 +190,9 @@ type dpState struct {
 	changed   []int32
 	queue     []int32
 
-	costs  []float64 // per-config incident costs of the node being evaluated
-	cost   float64
-	pruned bool
-	stats  DPStats
+	costs []float64 // per-config incident costs of the node being evaluated
+	cost  float64
+	stats DPStats
 }
 
 // carveState carves all of st's arrays from the solver's scratch. Must
@@ -216,7 +215,6 @@ func (s *asSolver) carveState(st *dpState) {
 	st.costs = scr.floats(s.maxCfg)
 	st.epoch = 0
 	st.cost = 0
-	st.pruned = false
 	st.stats = DPStats{}
 }
 
@@ -231,7 +229,6 @@ func (st *dpState) init(seed int) {
 	st.seed = int32(seed)
 	st.stats = DPStats{Starts: 1}
 	st.cost = 0
-	st.pruned = false
 	for nid := range s.g.Nodes {
 		var ci int32
 		switch {
@@ -375,19 +372,9 @@ func (st *dpState) sweepOnce(sweep int) bool {
 // quiescence, then expansion passes, iterated while either improves.
 // Zero cost is a global lower bound (weights are nonnegative), so a
 // start that reaches it stops immediately. A done context stops the
-// start between sweeps and rounds. pruneAt is the adaptive multi-start
-// cutoff: a start whose incumbent cost still exceeds it after a sweep
-// or an expansion pass is abandoned (pruned); +Inf disables pruning.
-func (st *dpState) run(ctx context.Context, pruneAt float64) {
+// start between sweeps and rounds.
+func (st *dpState) run(ctx context.Context) {
 	canceled := func() bool { return ctx != nil && ctx.Err() != nil }
-	prune := func() bool {
-		if st.cost > pruneAt {
-			st.pruned = true
-			st.stats.PrunedStarts = 1
-			return true
-		}
-		return false
-	}
 	for round := 0; round < 12; round++ {
 		improved := false
 		for sweep := 0; sweep < 60; sweep++ {
@@ -399,18 +386,12 @@ func (st *dpState) run(ctx context.Context, pruneAt float64) {
 				break
 			}
 			improved = true
-			if prune() {
-				return
-			}
 		}
 		if st.cost == 0 || canceled() {
 			return
 		}
 		if st.expansionPass() {
 			improved = true
-		}
-		if prune() {
-			return
 		}
 		if !improved || st.cost == 0 {
 			break

@@ -207,5 +207,4 @@ func mergeDPStats(d *DPStats, o DPStats) {
 	d.Moves += o.Moves
 	d.Evals += o.Evals
 	d.ExpansionAccepts += o.ExpansionAccepts
-	d.PrunedStarts += o.PrunedStarts
 }

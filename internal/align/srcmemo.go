@@ -308,8 +308,6 @@ func SourceKeyOf(src string, opts Options) (k SourceKey, ok bool) {
 	b = strconv.AppendInt(b, int64(opts.Offset.Engine), 10)
 	b = append(b, ';')
 	b = appendBool(b, opts.Offset.NoNetPath)
-	b = strconv.AppendFloat(b, opts.AxisStride.PruneSlack, 'g', -1, 64)
-	b = append(b, ';')
 	b = appendBool(b, opts.Partition)
 	b = strconv.AppendInt(b, int64(opts.Offset.Presolve), 10)
 	b = append(b, ';')

@@ -21,7 +21,13 @@ echo "== go build"
 go build ./...
 
 echo "== go test"
+# Includes the steady-state allocation gates (TestAxisStrideAllocs,
+# TestBatchThroughputAllocs, TestOffsetSolverPresolve*Allocs,
+# TestFrontendAllocs, TestHitPathZeroAlloc) next to their benchmarks.
 go test ./...
+
+echo "== perfbench (separate module: vet and test against this tree's API)"
+(cd perfbench && go vet ./... && go test ./...)
 
 echo "== go test -race (align, lp, root)"
 go test -race ./internal/align/... ./internal/lp/... .
@@ -52,37 +58,6 @@ go test -run='^$' -fuzz=FuzzSema -fuzztime=10s ./internal/lang
 
 echo "== bench smoke (1x: benchmarks must build, run, and hold their gates)"
 go test -run=NONE -bench=. -benchtime=1x .
-
-echo "== incremental smoke (1-edit re-solve must hold its 4x gate under -benchmem)"
-go test -run=NONE -bench=BenchmarkIncrementalEdit -benchtime=1x -benchmem .
-
-echo "== benchmem smoke (steady-state allocs/op must not regress)"
-# Committed thresholds with generous headroom over the measured steady
-# state (rank4 ~690 allocs/op, batch mixed ~235k allocs/op, presolved
-# refinement round ~780 allocs/op, fig1 presolve pair ~5.5k, cold front
-# end ~250, memo hit path ~2-4, all at 1x): a breach means a pooled hot
-# path started allocating per solve again. The hit-path gate also runs
-# under the race detector below via TestHitPathZeroAlloc's -race leg
-# (which skips the alloc count — race instrumentation allocates — but
-# still drives the memo tier's fast path).
-go test -run=NONE -bench='BenchmarkAxisStride/rank4|BenchmarkBatchThroughput/mixed|BenchmarkOffsetSolverPresolve|BenchmarkFrontend|BenchmarkHitPath' \
-    -benchtime=1x -benchmem . | awk '
-    $NF == "allocs/op" {
-        n = $(NF - 1) + 0
-        if ($1 ~ /^BenchmarkAxisStride\/rank4/)       { seen++; gate = 2000 }
-        else if ($1 ~ /^BenchmarkBatchThroughput\/mixed/)     { seen++; gate = 700000 }
-        else if ($1 ~ /^BenchmarkOffsetSolverPresolveFig1/)   { seen++; gate = 12000 }
-        else if ($1 ~ /^BenchmarkOffsetSolverPresolve/)       { seen++; gate = 3000 }
-        else if ($1 ~ /^BenchmarkFrontend/)           { seen++; gate = 400 }
-        else if ($1 ~ /^BenchmarkHitPath/)            { seen++; gate = 8 }
-        else next
-        printf "%s: %d allocs/op (gate %d)\n", $1, n, gate
-        if (n > gate) { printf "allocs/op regression: %s\n", $1; bad = 1 }
-    }
-    END {
-        if (seen != 6) { printf "benchmem smoke: matched %d benchmarks, want 6\n", seen; bad = 1 }
-        exit bad
-    }'
 
 echo "== go test -race (front end: memo determinism, hit path)"
 go test -race -run 'TestHitPathZeroAlloc|TestMemoDeterminism' .
