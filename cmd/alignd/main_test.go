@@ -208,9 +208,12 @@ func TestServeSolveAndSIGTERMDrain(t *testing.T) {
 
 // TestSIGTERMWaitsForInflight sends SIGTERM while a slow solve is in
 // flight: the solve must complete with 200, late arrivals must see 503,
-// and the daemon must still exit 0.
+// and the daemon must still exit 0. The drain timeout matches the
+// client's 2-minute timeout for the heavy solve: under the race
+// detector heavyChain(60, 16) runs close to alignd's 30 s default, and
+// the drain must not hard-cancel the very solve it is waiting for.
 func TestSIGTERMWaitsForInflight(t *testing.T) {
-	d := startDaemon(t, "-workers", "1")
+	d := startDaemon(t, "-workers", "1", "-drain-timeout", "2m")
 
 	type outcome struct {
 		status int

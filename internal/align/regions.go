@@ -80,10 +80,11 @@ func alignRegions(g *adg.Graph, part *adg.Partition, opts Options) (*Result, err
 			errs[i] = err
 			return
 		}
-		if !owned {
-			res = res.rehydrate(rg)
-			hits[i] = true
-		}
+		// A hit is passed on as the cached result itself, not rehydrated
+		// onto rg: reassembly reads it only by region port and edge ID
+		// (equal across canonically identical graphs) and copies what it
+		// keeps, so the cache entry is never written.
+		hits[i] = !owned
 		results[i] = res
 	}
 	if width == 1 {
@@ -126,8 +127,10 @@ var errInternalNilRegion = errors.New("align: internal: region solve missing")
 // canonical order — regions interleave in the parent numbering);
 // scalar costs, volumes, and effort counters sum; LP dimensions take
 // the largest single region (they describe the largest LP solved).
-// Phase times sum across regions, so under region-parallel execution
-// they read as aggregate solver time, not wall time.
+// Phase times sum across the regions solved by this call, so under
+// region-parallel execution they read as aggregate solver time, not
+// wall time; a region hit (hits[ri]) is a cached result whose times
+// describe an earlier solve and adds zero. results are only read.
 func reassembleRegions(g *adg.Graph, part *adg.Partition, results []*Result, hits []bool) *Result {
 	as := &AxisStrideResult{Labels: make(map[int]ASLabel, len(g.Ports))}
 	repl := &ReplResult{
@@ -175,11 +178,12 @@ func reassembleRegions(g *adg.Graph, part *adg.Partition, results []*Result, hit
 			off.LPConstraints = r.Offset.LPConstraints
 		}
 		off.Stats.Add(r.Offset.Stats)
-		out.Times.AxisStride += r.Times.AxisStride
-		out.Times.Replication += r.Times.Replication
-		out.Times.Offsets += r.Times.Offsets
 		if hits[ri] {
 			out.RegionHits++
+		} else {
+			out.Times.AxisStride += r.Times.AxisStride
+			out.Times.Replication += r.Times.Replication
+			out.Times.Offsets += r.Times.Offsets
 		}
 	}
 	sort.Ints(generalIDs)

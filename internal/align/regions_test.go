@@ -3,6 +3,7 @@ package align
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -187,5 +188,94 @@ func TestCacheCounterIdentity(t *testing.T) {
 	}
 	if hits < keys {
 		t.Errorf("hits = %d, want at least the %d fast-path hits of the second wave", hits, keys)
+	}
+}
+
+// TestRegionHitsReassembleFromCache: re-aligning a multi-component
+// program whose components appear in a different order misses the
+// whole-program key while every region hits. The hits are reassembled
+// straight from the cached region results: the answer equals an
+// uncached solve, hits add no phase time, and the cache entries they
+// were read from are left as they were — a standalone solve of each
+// component served from the same cache still prints the assignment of
+// a cold solve.
+func TestRegionHitsReassembleFromCache(t *testing.T) {
+	// Every component is rank 2, so each one alone has the template
+	// rank of the whole program and keys exactly as its region does.
+	comps := []struct{ decl, body string }{
+		{"X(60,8), Y(60,8)", "x(1:20,1:8) = x(1:20,1:8) + y(3:22,1:8)\n"},
+		{"M(12,16), N(16,12)", "m = m + transpose(n)\n"},
+		{"U(80,4), F(80,4)", "do k = 1, 40\n  u(k:k+39,1:4) = u(k:k+39,1:4) + f(k:k+39,1:4)\n  f(k:k+39,1:4) = f(k:k+39,1:4) * 2\nenddo\n"},
+		{"A(30,30), V(60)", "do k = 1, 30\n  a(k,1:30) = a(k,1:30) + v(k:k+29)\nenddo\n"},
+	}
+	program := func(order ...int) string {
+		decls := make([]string, len(order))
+		body := ""
+		for j, i := range order {
+			decls[j] = comps[i].decl
+			body += comps[i].body
+		}
+		return "real " + strings.Join(decls, ", ") + "\n" + body
+	}
+	for _, par := range []int{1, 8} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			base := Options{Replication: true}
+			base.AxisStride.Parallelism = par
+			base.Offset.Parallelism = par
+			cached := base
+			cached.Partition = true
+			cached.Cache = NewCache(32)
+
+			if _, err := Align(mustGraph(t, program(0, 1, 2, 3)), cached); err != nil {
+				t.Fatal(err)
+			}
+			reordered := program(3, 1, 0, 2)
+			got, err := Align(mustGraph(t, reordered), cached)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.CacheHit {
+				t.Fatal("reordered program hit the whole-program key; want a miss with region hits")
+			}
+			if got.Regions != len(comps) || got.RegionHits != got.Regions {
+				t.Errorf("Regions=%d RegionHits=%d, want %d and %d", got.Regions, got.RegionHits, len(comps), len(comps))
+			}
+			if got.Times != (PhaseTimes{}) {
+				t.Errorf("all-hit reassembly reports phase times %+v, want zero", got.Times)
+			}
+			ref, err := Align(mustGraph(t, reordered), base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := got.Assignment.String(), ref.Assignment.String(); g != w {
+				t.Errorf("reassembled hits differ from an uncached solve:\n--- hits\n%s\n--- uncached\n%s", g, w)
+			}
+			if got.Offset.Stats.Pivots != ref.Offset.Stats.Pivots || got.AxisStride.Stats != ref.AxisStride.Stats {
+				t.Errorf("effort counters of the hits (pivots %d, DP %+v) differ from the uncached solve (pivots %d, DP %+v)",
+					got.Offset.Stats.Pivots, got.AxisStride.Stats, ref.Offset.Stats.Pivots, ref.AxisStride.Stats)
+			}
+
+			// Region solves run with Partition off, so a component solved
+			// alone is served by the region entry the reassembly read.
+			standalone := base
+			standalone.Cache = cached.Cache
+			for i := range comps {
+				src := program(i)
+				hit, err := Align(mustGraph(t, src), standalone)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !hit.CacheHit {
+					t.Errorf("component %d: standalone solve missed the region entry", i)
+				}
+				cold, err := Align(mustGraph(t, src), base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g, w := hit.Assignment.String(), cold.Assignment.String(); g != w {
+					t.Errorf("component %d: cached region entry changed:\n--- cached\n%s\n--- cold\n%s", i, g, w)
+				}
+			}
+		})
 	}
 }

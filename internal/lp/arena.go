@@ -187,6 +187,7 @@ type warmState struct {
 	b, b2                   []float64
 	basis                   []int
 	artUsed                 []bool
+	nz                      []int // pivot's column scratch
 	nStruct, artIdx, nTotal int
 	nVars, nCons            int // structure fingerprint at solve time
 	cost                    []float64
@@ -226,7 +227,7 @@ func (p *Problem) WarmSolve() (*Solution, error) {
 		}
 	}
 	t0 := now()
-	_, piv, err := simplex(ws.a, ws.b, ws.b2, ws.basis, cost, ws.artIdx, maxIter, ctx)
+	_, piv, err := simplex(ws.a, ws.b, ws.b2, ws.basis, cost, ws.artIdx, maxIter, ctx, ws.nz)
 	if p.stats != nil {
 		p.stats.WarmSolves++
 		p.stats.Pivots += piv

@@ -1,7 +1,6 @@
 package lp
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -100,9 +99,6 @@ func presolveEq(p *Problem) *presolved {
 		}
 		if rowMax < 1e-12 {
 			if math.Abs(row.rhs) > 1e-7 {
-				if debugLP {
-					fmt.Printf("presolve: inconsistent row rhs=%g\n", row.rhs)
-				}
 				ps.infeasible = true
 				return ps
 			}

@@ -11,10 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 )
-
-var debugLP = os.Getenv("LPDEBUG") != ""
 
 // Op is a constraint comparison operator.
 type Op int
@@ -383,6 +380,10 @@ func (p *Problem) solveRaw() (*Solution, error) {
 		b[i] += 1e-7 * float64(i+1) / float64(m+1)
 	}
 
+	// nz holds the nonzero columns of each pivot row (see pivot); one
+	// carve serves phase 1, the drive-out, phase 2, and warm re-solves.
+	nz := ar.ints(nTotal)
+
 	// Phase 1: minimize sum of artificials.
 	phase1Cost := ar.floats(nTotal)
 	anyArt := false
@@ -403,7 +404,7 @@ func (p *Problem) solveRaw() (*Solution, error) {
 	}
 	if anyArt {
 		t0 := now()
-		_, piv, err := simplex(a, b, b2, basis, phase1Cost, nTotal, maxIter, ctx)
+		_, piv, err := simplex(a, b, b2, basis, phase1Cost, nTotal, maxIter, ctx, nz)
 		if p.stats != nil {
 			p.stats.Pivots += piv
 			p.stats.Phase1 += since(t0)
@@ -421,9 +422,6 @@ func (p *Problem) solveRaw() (*Solution, error) {
 			}
 		}
 		if resid > 1e-6 {
-			if debugLP {
-				fmt.Printf("phase1: residual %g (m=%d)\n", resid, m)
-			}
 			return nil, ErrInfeasible
 		}
 		// Drive remaining artificials out of the basis where possible,
@@ -441,7 +439,7 @@ func (p *Problem) solveRaw() (*Solution, error) {
 					}
 				}
 				if bestJ >= 0 {
-					pivot(a, b, b2, basis, i, bestJ)
+					pivot(a, b, b2, basis, i, bestJ, nz)
 					// A negative-signed pivot flips the row's perturbation
 					// residue negative; re-perturb to keep the phase-2
 					// invariant b ≥ 0 (the perturbation is ours to choose).
@@ -464,7 +462,7 @@ func (p *Problem) solveRaw() (*Solution, error) {
 		}
 	}
 	t0 := now()
-	_, piv, err := simplex(a, b, b2, basis, cost, artIdx, maxIter, ctx)
+	_, piv, err := simplex(a, b, b2, basis, cost, artIdx, maxIter, ctx, nz)
 	if p.stats != nil {
 		p.stats.Pivots += piv
 		p.stats.Phase2 += since(t0)
@@ -485,7 +483,7 @@ func (p *Problem) solveRaw() (*Solution, error) {
 	if p.keep {
 		p.ws = &warmState{
 			cols: cols, a: a, b: b, b2: b2, basis: basis,
-			artUsed: artUsed, nStruct: nStruct, artIdx: artIdx, nTotal: nTotal,
+			artUsed: artUsed, nz: nz, nStruct: nStruct, artIdx: artIdx, nTotal: nTotal,
 			nVars: len(p.names), nCons: len(p.cons),
 		}
 	}
@@ -525,8 +523,9 @@ func (p *Problem) budget(m, n int) (int64, context.Context) {
 // the optimal objective value (w.r.t. the perturbed RHS) and the number
 // of pivots performed. maxIter bounds the iterations (ErrBudget beyond);
 // ctx, when non-nil, is polled every iterCheckStride iterations and
-// aborts with ErrCanceled wrapping ctx.Err().
-func simplex(a [][]float64, b, b2 []float64, basis []int, cost []float64, limit int, maxIter int64, ctx context.Context) (float64, int64, error) {
+// aborts with ErrCanceled wrapping ctx.Err(). nz is pivot's column
+// scratch, with capacity for a full tableau row.
+func simplex(a [][]float64, b, b2 []float64, basis []int, cost []float64, limit int, maxIter int64, ctx context.Context, nz []int) (float64, int64, error) {
 	m := len(a)
 	if m == 0 {
 		return 0, 0, nil
@@ -666,23 +665,18 @@ func simplex(a [][]float64, b, b2 []float64, basis []int, cost []float64, limit 
 				skip[enter] = true
 				continue
 			}
-			if debugLP {
-				fmt.Printf("UNBOUNDED: iter=%d enter=%d z=%g looseEps=%g colmax=%g m=%d n=%d\n", iter, enter, z[enter], looseEps, colmax, m, n)
-			}
 			return 0, pivots, ErrUnbounded
 		}
 		skip[enter] = false
-		if iter%5000 == 0 && debugLP {
-			fmt.Printf("iter=%d enter=%d leave=%d z=%g obj=%g\n", iter, enter, leave, z[enter], -zb)
-		}
-		pivot(a, b, b2, basis, leave, enter)
+		nz = pivot(a, b, b2, basis, leave, enter, nz)
 		pivots++
 		fresh = false
-		// Update cost row.
+		// Update cost row at the pivot row's nonzero columns only.
 		c := z[enter]
 		if c != 0 {
-			for j := 0; j < n; j++ {
-				z[j] -= c * a[leave][j]
+			row := a[leave]
+			for _, j := range nz {
+				z[j] -= c * row[j]
 			}
 			zb -= c * b[leave]
 		}
@@ -690,34 +684,47 @@ func simplex(a [][]float64, b, b2 []float64, basis []int, cost []float64, limit 
 }
 
 // pivot makes column enter basic in row leave, updating both the
-// perturbed (b) and unperturbed (b2) right-hand sides.
-func pivot(a [][]float64, b, b2 []float64, basis []int, leave, enter int) {
-	m := len(a)
-	n := len(a[leave])
-	piv := a[leave][enter]
-	inv := 1 / piv
-	for j := 0; j < n; j++ {
-		a[leave][j] *= inv
+// perturbed (b) and unperturbed (b2) right-hand sides. While it scales
+// the pivot row it collects the row's nonzero columns into nz (reusing
+// its storage) and returns them; every other row is then updated at
+// those columns only. Subtracting f·0 leaves a finite entry unchanged,
+// so the result equals the full-row update (up to the sign of an exact
+// zero, which nothing reads) at the cost of nnz(pivot row) per touched
+// row instead of the full width: RLP rows touch at most three
+// variables, so the pivot row stays sparse.
+func pivot(a [][]float64, b, b2 []float64, basis []int, leave, enter int, nz []int) []int {
+	row := a[leave]
+	inv := 1 / row[enter]
+	nz = nz[:0]
+	for j, v := range row {
+		if v != 0 {
+			v *= inv
+			row[j] = v
+			if v != 0 {
+				nz = append(nz, j)
+			}
+		}
 	}
 	b[leave] *= inv
 	b2[leave] *= inv
-	a[leave][enter] = 1 // exactness
-	for i := 0; i < m; i++ {
+	row[enter] = 1 // exactness
+	for i, ri := range a {
 		if i == leave {
 			continue
 		}
-		f := a[i][enter]
+		f := ri[enter]
 		if f == 0 {
 			continue
 		}
-		for j := 0; j < n; j++ {
-			a[i][j] -= f * a[leave][j]
+		for _, j := range nz {
+			ri[j] -= f * row[j]
 		}
-		a[i][enter] = 0
+		ri[enter] = 0
 		b[i] -= f * b[leave]
 		b2[i] -= f * b2[leave]
 	}
 	basis[leave] = enter
+	return nz
 }
 
 // Dump renders the problem in LP-like text format for debugging.

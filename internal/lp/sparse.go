@@ -4,8 +4,10 @@ package lp
 // offset RLPs of large programs (§4.1) are big but extremely sparse:
 // every constraint touches at most three variables (a θ bound couples
 // one θ with two offsets; a node equality couples two offsets), yet the
-// dense tableau stores — and every pivot touches — m·(n+m) cells. The
-// revised simplex keeps the constraint matrix in compressed sparse
+// dense tableau stores m·(n+m) cells, and a dense pivot costs about
+// nnz(pivot row) × (rows with a nonzero in the entering column) — a
+// product that fill-in grows as the solve proceeds. The revised
+// simplex keeps the constraint matrix in compressed sparse
 // column form, represents the basis inverse as a product of eta
 // matrices rebuilt every refactorStride pivots, and merges each
 // θ+P ≥ 0 / θ−P ≥ 0 row pair into a single equality row so the RLP's
@@ -32,10 +34,11 @@ const (
 )
 
 // Sparse-dispatch thresholds (EngineAuto): the revised simplex wins
-// once the dense tableau would be large (m·(n+m) cells, all touched on
-// every pivot) and at most a quarter populated. The cell threshold
+// once the dense tableau would be large (m·(n+m) cells to store, and
+// fill-in spreading each pivot's nnz(pivot row) × touched-rows update
+// across them) and at most a quarter populated. The cell threshold
 // keeps every small RLP on the dense core, whose exact vertex choices
-// are pinned by golden tests.
+// are pinned by golden tests (TestGoldenReports).
 const (
 	sparseCellThreshold = 50000
 	// refactorStride bounds the eta file: the basis is refactorized

@@ -91,7 +91,13 @@ type Server struct {
 	mux     *http.ServeMux
 
 	draining atomic.Bool
-	inflight sync.WaitGroup
+	// mu guards inflight and idle. A sync.WaitGroup cannot count the
+	// requests here: stats and metrics requests keep arriving during a
+	// drain, and a WaitGroup forbids an Add from zero concurrent with
+	// Wait.
+	mu       sync.Mutex
+	inflight int
+	idle     chan struct{} // made by Drain, closed once inflight is 0
 
 	// hardCtx is canceled only when a drain times out: it aborts the
 	// in-flight solves that did not finish inside the drain window.
@@ -153,12 +159,16 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 // labelings — and Drain returns an error describing the forced stop.
 // After Drain returns nil, no leases or request goroutines remain.
 func (s *Server) Drain(timeout time.Duration) error {
+	s.mu.Lock()
 	s.draining.Store(true)
-	done := make(chan struct{})
-	go func() {
-		s.inflight.Wait()
-		close(done)
-	}()
+	if s.idle == nil {
+		s.idle = make(chan struct{})
+		if s.inflight == 0 {
+			close(s.idle)
+		}
+	}
+	done := s.idle
+	s.mu.Unlock()
 	var expire <-chan time.Time
 	if timeout > 0 {
 		t := time.NewTimer(timeout)
@@ -183,13 +193,34 @@ func (s *Server) Drain(timeout time.Duration) error {
 // per-endpoint request counter.
 func (s *Server) handle(endpoint string, body func(http.ResponseWriter, *http.Request) int) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		s.inflight.Add(1)
-		defer s.inflight.Done()
+		s.enter()
+		defer s.exit()
 		s.metrics.inflightRequests.Add(1)
 		defer s.metrics.inflightRequests.Add(-1)
 		code := body(w, r)
 		s.metrics.countRequest(endpoint, code)
 	}
+}
+
+// enter and exit count one request in flight; the exit that brings the
+// count to zero during a drain releases Drain.
+func (s *Server) enter() {
+	s.mu.Lock()
+	s.inflight++
+	s.mu.Unlock()
+}
+
+func (s *Server) exit() {
+	s.mu.Lock()
+	s.inflight--
+	if s.inflight == 0 && s.idle != nil {
+		select {
+		case <-s.idle: // already released
+		default:
+			close(s.idle)
+		}
+	}
+	s.mu.Unlock()
 }
 
 // SolveRequest is the /v1/solve body. Only Source is required; the

@@ -11,6 +11,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -451,6 +452,44 @@ func TestDrainRejectsNewWork(t *testing.T) {
 	}
 	if !statsSnapshot(t, ts).Draining {
 		t.Error("stats do not report draining")
+	}
+}
+
+// TestDrainDuringRequests drains while stats and health requests keep
+// arriving, as they do when a drain waits on a slow solve: the in-flight
+// count must neither race Drain (checked under -race) nor keep Drain
+// from returning once the requests stop.
+func TestDrainDuringRequests(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(path string) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				srv.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, path, nil))
+			}
+		}([]string{"/v1/stats", "/healthz"}[i%2])
+	}
+	time.Sleep(5 * time.Millisecond)
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Drain(0) }()
+	time.Sleep(5 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Fatalf("Drain: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Drain did not return after the requests stopped")
 	}
 }
 
