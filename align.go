@@ -29,7 +29,6 @@ import (
 	"repro/internal/build"
 	"repro/internal/cost"
 	"repro/internal/lang"
-	"repro/internal/lp"
 )
 
 // Options configures the alignment pipeline.
@@ -54,8 +53,11 @@ type Options struct {
 	Restarts int
 	// Cache, when non-nil, memoizes pipeline results content-addressed by
 	// the ADG and the result-affecting options: re-aligning an unchanged
-	// program skips every solver. Share one cache across AlignSource /
-	// AlignProgram calls; see NewCache.
+	// program skips every solver. AlignSource additionally memoizes the
+	// completed result under the normalized token stream of the source
+	// (the source memo tier), so re-aligning an unchanged or merely
+	// reformatted program costs one hash. Share one cache across
+	// AlignSource / AlignProgram calls; see NewCache.
 	Cache *Cache
 	// Partition enables incremental, compositional solving: each weakly
 	// connected component of the program's ADG is content-addressed and
@@ -71,23 +73,6 @@ type Options struct {
 	// default derived from each LP's size, which well-posed programs
 	// never approach.
 	MaxLPIter int64
-	// NoPresolve disables the offset-LP presolver (pin/chain
-	// contraction and block decomposition; see lp.Problem.Reduce), so
-	// every RLP is solved monolithically exactly as built. The toggle
-	// exists for differential testing and baseline measurement; the
-	// computed alignment is the same either way on non-degenerate
-	// programs.
-	NoPresolve bool
-	// NoSourceMemo disables the source-keyed memo tier in front of the
-	// pipeline (see DESIGN.md): with a Cache configured, AlignSource
-	// memoizes completed results keyed by the normalized token stream
-	// of the source plus the result-affecting options, so re-aligning
-	// an unchanged (or merely reformatted) program costs one hash and
-	// skips lex, parse, sema, ADG build, and canonical hashing
-	// entirely. The computed result is byte-identical with the memo on
-	// or off (the toggle is therefore not part of any cache key); the
-	// switch exists for baseline measurement and differential testing.
-	NoSourceMemo bool
 }
 
 // Cache is a bounded content-addressed memo of pipeline results; see
@@ -164,10 +149,6 @@ func AlignProgramContext(ctx context.Context, prog *lang.Program, opts Options) 
 
 // alignOptions lowers the public options to the pipeline's.
 func (o Options) alignOptions() align.Options {
-	presolve := lp.PresolveAuto
-	if o.NoPresolve {
-		presolve = lp.PresolveOff
-	}
 	return align.Options{
 		AxisStride: align.AxisStrideOptions{
 			Parallelism: o.Parallelism,
@@ -177,12 +158,10 @@ func (o Options) alignOptions() align.Options {
 			Strategy:    o.Strategy,
 			M:           o.Subranges,
 			Parallelism: o.Parallelism,
-			Presolve:    presolve,
 		},
 		Replication:       o.Replication,
 		ReplicationRounds: o.ReplicationRounds,
 		Cache:             o.Cache,
-		NoSourceMemo:      o.NoSourceMemo,
 		Partition:         o.Partition,
 		MaxLPIter:         o.MaxLPIter,
 	}
@@ -241,6 +220,11 @@ func AlignBatch(srcs []string, opts Options, bopts BatchOptions) []BatchResult {
 // value) while every other slot completes with results identical to a
 // batch without the offender.
 func AlignBatchContext(ctx context.Context, srcs []string, opts Options, bopts BatchOptions) []BatchResult {
+	return alignBatch(ctx, srcs, opts.alignOptions(), bopts)
+}
+
+// alignBatch is AlignBatchContext on pipeline options.
+func alignBatch(ctx context.Context, srcs []string, aopts align.Options, bopts BatchOptions) []BatchResult {
 	out := make([]BatchResult, len(srcs))
 	if len(srcs) == 0 {
 		return out
@@ -248,7 +232,6 @@ func AlignBatchContext(ctx context.Context, srcs []string, opts Options, bopts B
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	aopts := opts.alignOptions()
 	if aopts.Cache == nil {
 		aopts.Cache = align.NewCache(len(srcs))
 	}

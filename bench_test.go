@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -1065,8 +1066,7 @@ func BenchmarkAlignCached(b *testing.B) {
 	}
 	// With the memo bypassed the warm repeat must still land the
 	// pipeline-cache hit it always did.
-	ropts.NoSourceMemo = true
-	res, err = AlignSource(axisHeavySrc, ropts)
+	res, err = frontendSolve(context.Background(), nil, axisHeavySrc, ropts.alignOptions(), 0, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1154,10 +1154,9 @@ func BenchmarkHitPath(b *testing.B) {
 		_, err := AlignSource(axisHeavySrc, opts)
 		return err
 	})
-	bypass := opts
-	bypass.NoSourceMemo = true
+	bypass := opts.alignOptions()
 	parseHash := minTime(b, 5, 32, func() error {
-		_, err := AlignSource(axisHeavySrc, bypass)
+		_, err := frontendSolve(context.Background(), nil, axisHeavySrc, bypass, 0, 0)
 		return err
 	})
 	speedup := float64(parseHash) / float64(hit)

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	alignc [-strategy fixed|unroll|search|zerotrack|recursive] [-m N]
-//	       [-par N] [-cache] [-nomemo] [-partition] [-presolve=false] [-norepl] [-static] [-dot] [-sim]
+//	       [-par N] [-cache] [-partition] [-norepl] [-dot] [-sim] [-top N]
 //	       [-grid PxQ] [-timeout D] [-cpuprofile F] [-memprofile F] file.dp
 //	alignc -batch 'progs/*.dp' [-workers N] [-timeout D] [-deadline D] [...]
 //	alignc -editstream N [-partition] [-par N]
@@ -67,13 +67,11 @@ func run() int {
 	norepl := flag.Bool("norepl", false, "disable replication labeling")
 	par := flag.Int("par", 0, "solver parallelism: offset-LP axes and DP multi-starts (0 = GOMAXPROCS, 1 = sequential)")
 	useCache := flag.Bool("cache", false, "enable the pipeline result cache and re-align once to demonstrate a hit")
-	nomemo := flag.Bool("nomemo", false, "disable the source-keyed memo tier in front of the pipeline (cache misses then still lex, parse, and hash)")
 	dot := flag.Bool("dot", false, "print the ADG in Graphviz DOT format and exit")
 	sim := flag.Bool("sim", false, "simulate the aligned program on a distributed-memory machine")
 	grid := flag.String("grid", "4x4", "processor grid for -sim, e.g. 8x8")
 	top := flag.Int("top", 10, "edges to show in the cost report")
 	partition := flag.Bool("partition", false, "enable compositional solving: per-region caching and region-grain parallelism (see -editstream)")
-	presolve := flag.Bool("presolve", true, "presolve offset LPs (pin/chain contraction, block decomposition) before solving; -presolve=false forces the monolithic simplex")
 	editstream := flag.Int("editstream", 0, "demo mode: build an N-component program, then re-align it N times with one component edited each round, printing per-edit latency and region hit rate (implies -cache)")
 	batch := flag.String("batch", "", "align every file matching the glob as one batch")
 	workers := flag.Int("workers", 0, "global worker budget for -batch (0 = GOMAXPROCS)")
@@ -121,7 +119,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "alignc: no input file; compiling the paper's Figure 1 fragment")
 	}
 
-	opts := repro.Options{Subranges: *m, Replication: !*norepl, Parallelism: *par, Partition: *partition, NoPresolve: !*presolve, NoSourceMemo: *nomemo}
+	opts := repro.Options{Subranges: *m, Replication: !*norepl, Parallelism: *par, Partition: *partition}
 	switch *strategy {
 	case "fixed":
 		opts.Strategy = align.StrategyFixed
@@ -168,8 +166,8 @@ func run() int {
 	}
 	if *useCache {
 		// Compile the unchanged program again: the repeat is served from
-		// the source memo tier (or, with -nomemo, from the pipeline
-		// cache), which the report of the second result records.
+		// the source memo tier, which the report of the second result
+		// records.
 		t0 := time.Now()
 		res, err = repro.AlignSourceContext(ctx, src, opts)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"syscall"
@@ -200,5 +201,49 @@ func TestBatchSIGTERMDrains(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "unfinished") {
 		t.Errorf("stderr missing the drain notice:\n%s", &stderr)
+	}
+}
+
+// TestUsageFlagsDefined keeps the package doc's Usage block honest:
+// every -flag it names must be defined by the built binary, as listed
+// by its -h output.
+func TestUsageFlagsDefined(t *testing.T) {
+	bin := buildAlignc(t)
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The Usage block is the run of indented comment lines after
+	// "// Usage:" and its blank comment line.
+	var usage []string
+	lines := strings.Split(string(src), "\n")
+	for i, line := range lines {
+		if line != "// Usage:" {
+			continue
+		}
+		for _, l := range lines[i+2:] {
+			if !strings.HasPrefix(l, "//\t") {
+				break
+			}
+			usage = append(usage, l)
+		}
+		break
+	}
+	named := regexp.MustCompile(`(?:^|[\s\[])-([a-z][a-z0-9-]*)`).FindAllStringSubmatch(strings.Join(usage, "\n"), -1)
+	if len(named) == 0 {
+		t.Fatal("no flags found in the Usage block of main.go")
+	}
+
+	// The exit status is not checked: a failed run lists no flags, so
+	// the loop below reports every named one as undefined.
+	out, _ := exec.Command(bin, "-h").CombinedOutput()
+	defined := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^  -([a-z][a-z0-9-]*)`).FindAllStringSubmatch(string(out), -1) {
+		defined[m[1]] = true
+	}
+	for _, m := range named {
+		if !defined[m[1]] {
+			t.Errorf("Usage names -%s, which alignc -h does not define:\n%s", m[1], out)
+		}
 	}
 }

@@ -46,7 +46,6 @@ func run() int {
 	m := flag.Int("m", 3, "default subranges per iteration range (fixed strategy)")
 	norepl := flag.Bool("norepl", false, "disable replication labeling by default")
 	partition := flag.Bool("partition", false, "enable compositional per-region caching by default")
-	noPresolve := flag.Bool("no-presolve", false, "disable the offset-RLP presolver")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "alignd: unexpected arguments:", strings.Join(flag.Args(), " "))
@@ -74,7 +73,6 @@ func run() int {
 		Subranges:     *m,
 		NoReplication: *norepl,
 		Partition:     *partition,
-		NoPresolve:    *noPresolve,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -314,12 +315,15 @@ func TestPresolveDeterminism(t *testing.T) {
 							opts := DefaultOptions()
 							opts.Replication = repl
 							opts.Partition = partition
-							opts.NoPresolve = noPresolve
 							opts.Parallelism = par
 							if partition {
 								opts.Cache = NewCache(8)
 							}
-							res, err := AlignSource(src, opts)
+							aopts := opts.alignOptions()
+							if noPresolve {
+								aopts.Offset.Presolve = lp.PresolveOff
+							}
+							res, err := alignSourceLeased(context.Background(), nil, src, aopts, 0)
 							if err != nil {
 								t.Fatal(err)
 							}

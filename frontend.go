@@ -22,8 +22,7 @@ type FrontendTimes struct {
 	Sema  time.Duration
 	Build time.Duration
 	// Key is the time spent hashing the normalized token stream into
-	// the source-memo key (zero when no cache is configured or the
-	// memo is disabled).
+	// the source-memo key (zero when no cache is configured).
 	Key time.Duration
 }
 
@@ -41,14 +40,14 @@ var feTokenPool = sync.Pool{New: func() any { return &feTokens{} }}
 
 // alignSourceLeased is the one source→cost pipeline behind AlignSource,
 // every AlignBatch slot, and the alignd daemon's solves. It layers the
-// source-keyed memo tier (when a cache is configured and the memo is
-// enabled) in front of the full front end: a hit returns the memoized
-// completed result for the cost of one token-stream hash; a miss runs
-// lex → parse → sema → build → solve under the memo's singleflight and
-// populates the tier on the way out. sched may be nil (solver
-// parallelism then comes from aopts alone).
+// source-keyed memo tier (when a cache is configured) in front of the
+// full front end: a hit returns the memoized completed result for the
+// cost of one token-stream hash; a miss runs lex → parse → sema →
+// build → solve under the memo's singleflight and populates the tier
+// on the way out. sched may be nil (solver parallelism then comes from
+// aopts alone).
 func alignSourceLeased(ctx context.Context, sched *align.Scheduler, src string, aopts align.Options, lease int) (*Result, error) {
-	if aopts.Cache != nil && !aopts.NoSourceMemo {
+	if aopts.Cache != nil {
 		t0 := time.Now()
 		key, ok := align.SourceKeyOf(src, aopts)
 		keyT := time.Since(t0)

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"testing"
 )
 
@@ -38,39 +39,42 @@ func TestHitPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMemoDeterminism pins the memo tier's output contract: the memo
-// toggle (Options.NoSourceMemo) crossed with Parallelism 1/2/8 yields
-// byte-identical normalized reports for both the cold solve and the
-// warm repeat — which is exactly why the toggle is not part of any
-// cache key (see cacheKey in internal/align/cache.go: the memo only
-// ever returns what the full pipeline would have computed, so keying
-// on it would split the cache for no semantic difference). The warm
-// repeat must hit the memo tier when it is on and the pipeline cache
-// when it is off.
+// TestMemoDeterminism pins the memo tier's output contract: solving
+// through the memo (AlignSource) and past it (frontendSolve, the memo
+// miss path) at Parallelism 1/2/8 yields byte-identical normalized
+// reports for both the cold solve and the warm repeat — the memo only
+// ever returns what the full pipeline would have computed. The warm
+// repeat must hit the memo tier through AlignSource and the pipeline
+// cache past it.
 func TestMemoDeterminism(t *testing.T) {
 	for name, src := range determinismSources {
 		t.Run(name, func(t *testing.T) {
 			var wantCold, wantWarm string
-			for _, nomemo := range []bool{false, true} {
+			for _, direct := range []bool{false, true} {
 				for _, par := range []int{1, 2, 8} {
 					opts := DefaultOptions()
 					opts.Cache = NewCache(4)
-					opts.NoSourceMemo = nomemo
 					opts.Parallelism = par
-					cold, err := AlignSource(src, opts)
+					solve := func() (*Result, error) {
+						if direct {
+							return frontendSolve(context.Background(), nil, src, opts.alignOptions(), 0, 0)
+						}
+						return AlignSource(src, opts)
+					}
+					cold, err := solve()
 					if err != nil {
 						t.Fatal(err)
 					}
 					if cold.MemoHit {
-						t.Errorf("memo=%v par=%d: cold solve reported a memo hit", !nomemo, par)
+						t.Errorf("memo=%v par=%d: cold solve reported a memo hit", !direct, par)
 					}
-					warm, err := AlignSource(src, opts)
+					warm, err := solve()
 					if err != nil {
 						t.Fatal(err)
 					}
-					if nomemo {
+					if direct {
 						if warm.MemoHit {
-							t.Errorf("par=%d: memo tier answered despite NoSourceMemo", par)
+							t.Errorf("par=%d: memo tier answered on the memo-miss path", par)
 						}
 						if !warm.Align.CacheHit {
 							t.Errorf("par=%d: memo off, warm repeat missed the pipeline cache", par)
@@ -86,11 +90,11 @@ func TestMemoDeterminism(t *testing.T) {
 					}
 					if gotCold != wantCold {
 						t.Errorf("memo=%v par=%d: cold report differs from baseline:\n--- baseline\n%s\n--- got\n%s",
-							!nomemo, par, wantCold, gotCold)
+							!direct, par, wantCold, gotCold)
 					}
 					if gotWarm != wantWarm {
 						t.Errorf("memo=%v par=%d: warm report differs from baseline:\n--- baseline\n%s\n--- got\n%s",
-							!nomemo, par, wantWarm, gotWarm)
+							!direct, par, wantWarm, gotWarm)
 					}
 				}
 			}

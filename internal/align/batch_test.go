@@ -2,8 +2,8 @@ package align
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,6 +27,47 @@ func TestCacheKeyPresolveToggle(t *testing.T) {
 	}
 }
 
+// TestCacheKeyDefaults pins the option fingerprint both tiers share to
+// defaulted values: settings that solve identically share one key in
+// the pipeline tier and in the source tier, settings outside the key
+// (parallelism, the LP budget) never split it, and a setting that
+// changes the answer does.
+func TestCacheKeyDefaults(t *testing.T) {
+	g := mustGraph(t, fig1)
+	with := func(f func(*Options)) Options {
+		o := Options{Replication: true}
+		f(&o)
+		return o
+	}
+	for _, tc := range []struct {
+		name  string
+		a, b  Options
+		equal bool
+	}{
+		{"M 0 vs 3", with(func(o *Options) { o.Offset.M = 0 }), with(func(o *Options) { o.Offset.M = 3 }), true},
+		{"Restarts 0 vs 2", with(func(o *Options) { o.AxisStride.Restarts = 0 }), with(func(o *Options) { o.AxisStride.Restarts = 2 }), true},
+		{"Restarts -1 vs -7", with(func(o *Options) { o.AxisStride.Restarts = -1 }), with(func(o *Options) { o.AxisStride.Restarts = -7 }), true},
+		{"MaxRefine 0 vs 6", with(func(o *Options) { o.Offset.MaxRefine = 0 }), with(func(o *Options) { o.Offset.MaxRefine = 6 }), true},
+		{"UnrollCap 0 vs 4096", with(func(o *Options) { o.Offset.UnrollCap = 0 }), with(func(o *Options) { o.Offset.UnrollCap = 4096 }), true},
+		{"ReplicationRounds 0 vs 2", with(func(o *Options) { o.ReplicationRounds = 0 }), with(func(o *Options) { o.ReplicationRounds = 2 }), true},
+		{"Parallelism 1 vs 8", with(func(o *Options) { o.Offset.Parallelism, o.AxisStride.Parallelism = 1, 1 }), with(func(o *Options) { o.Offset.Parallelism, o.AxisStride.Parallelism = 8, 8 }), true},
+		{"MaxLPIter 0 vs 500", with(func(o *Options) { o.MaxLPIter = 0 }), with(func(o *Options) { o.MaxLPIter = 500 }), true},
+		{"M 3 vs 5", with(func(o *Options) { o.Offset.M = 3 }), with(func(o *Options) { o.Offset.M = 5 }), false},
+	} {
+		srcA, okA := SourceKeyOf(fig1, tc.a)
+		srcB, okB := SourceKeyOf(fig1, tc.b)
+		if !okA || !okB {
+			t.Fatal("fig1 does not lex")
+		}
+		if got := cacheKey(g, tc.a) == cacheKey(g, tc.b); got != tc.equal {
+			t.Errorf("%s: pipeline keys equal = %v, want %v", tc.name, got, tc.equal)
+		}
+		if got := srcA == srcB; got != tc.equal {
+			t.Errorf("%s: source keys equal = %v, want %v", tc.name, got, tc.equal)
+		}
+	}
+}
+
 // TestCacheGetZeroAlloc pins the batch engine's hot path: a warm-cache
 // hit — shard select, map lookup, LRU move-to-front, atomic counter —
 // performs zero allocations, so a steady stream of repeat compiles
@@ -34,18 +75,16 @@ func TestCacheKeyPresolveToggle(t *testing.T) {
 func TestCacheGetZeroAlloc(t *testing.T) {
 	g := mustGraph(t, fig1)
 	c := NewCache(8)
-	// ReplicationRounds is part of the content key; pin it to the value
-	// Align defaults to so cacheKey here matches the stored entry.
-	opts := Options{Cache: c, ReplicationRounds: 2}
+	opts := Options{Cache: c}
 	if _, err := Align(g, opts); err != nil {
 		t.Fatal(err)
 	}
 	key := cacheKey(g, opts)
-	if c.get(key) == nil {
+	if _, ok := c.pipe.get(key); !ok {
 		t.Fatal("warm cache missed its own key")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if c.get(key) == nil {
+		if _, ok := c.pipe.get(key); !ok {
 			t.Fatal("hit path missed")
 		}
 	})
@@ -54,60 +93,122 @@ func TestCacheGetZeroAlloc(t *testing.T) {
 	}
 }
 
+// shardKey returns a key that lands in the given shard: the digest of
+// name with its first byte, the shard selector, set to shard.
+func shardKey(shard int, name string) SourceKey {
+	k := SourceKey(sha256.Sum256([]byte(name)))
+	k[0] = byte(shard)
+	return k
+}
+
+// tierLeg drives one cache tier through its public entry points, so
+// the tier tests run one scenario on both instantiations: the pipeline
+// tier through do, the source tier through SourceGet and then, on a
+// miss, SourceDo — the sequence the front end uses.
+type tierLeg struct {
+	name string
+	do   func(c *Cache, ctx context.Context, k SourceKey, compute func() (*Result, error)) (*Result, bool, error)
+	get  func(c *Cache, k SourceKey) *Result
+	len  func(c *Cache) int
+	// counters returns hits, misses, shared, computes.
+	counters func(c *Cache) (int64, int64, int64, int64)
+}
+
+var tierLegs = []tierLeg{
+	{
+		name: "pipeline",
+		do: func(c *Cache, ctx context.Context, k SourceKey, compute func() (*Result, error)) (*Result, bool, error) {
+			return c.pipe.do(ctx, k, compute)
+		},
+		get: func(c *Cache, k SourceKey) *Result {
+			res, _ := c.pipe.get(k)
+			return res
+		},
+		len: (*Cache).Len,
+		counters: func(c *Cache) (int64, int64, int64, int64) {
+			hits, misses := c.Counters()
+			computes, shared := c.FlightStats()
+			return hits, misses, shared, computes
+		},
+	},
+	{
+		name: "source",
+		do: func(c *Cache, ctx context.Context, k SourceKey, compute func() (*Result, error)) (*Result, bool, error) {
+			if v, ok := c.SourceGet(k); ok {
+				return v.(*Result), false, nil
+			}
+			v, owned, err := c.SourceDo(ctx, k, func() (any, error) { return compute() })
+			res, _ := v.(*Result)
+			return res, owned, err
+		},
+		get: func(c *Cache, k SourceKey) *Result {
+			v, _ := c.SourceGet(k)
+			res, _ := v.(*Result)
+			return res
+		},
+		len:      (*Cache).SourceLen,
+		counters: (*Cache).SourceCounters,
+	},
+}
+
 // TestCacheShardingAndEviction checks that keys spread over every shard
-// by their first hex digit, that the capacity bound is global (keys
-// hashing into one shard never evict while the cache has room — a
-// per-shard quota once recomputed duplicate batch programs, see
+// by their first byte, that the capacity bound is global (keys hashing
+// into one shard never evict while the cache has room — a per-shard
+// quota once recomputed duplicate batch programs, see
 // TestBatchDeterminism/duplicates), and that eviction at capacity is
 // LRU within the inserting shard, stealing from another shard only
 // when the inserting shard has nothing else to give.
 func TestCacheShardingAndEviction(t *testing.T) {
 	c := NewCache(cacheShards) // one entry per shard
 	res := &Result{}
-	hex := "0123456789abcdef"
 	for i := 0; i < cacheShards; i++ {
-		c.put(fmt.Sprintf("%c-key", hex[i]), res)
+		c.pipe.put(shardKey(i, "key"), res)
 	}
 	if got := c.Len(); got != cacheShards {
 		t.Fatalf("distinct-shard keys: Len = %d, want %d", got, cacheShards)
 	}
-	for i := range c.shards {
-		if n := c.shards[i].order.Len(); n != 1 {
+	for i := range c.pipe.shards {
+		if n := c.pipe.shards[i].order.Len(); n != 1 {
 			t.Errorf("shard %d holds %d entries, want 1", i, n)
 		}
+	}
+	has := func(k SourceKey) bool {
+		_, ok := c.pipe.get(k)
+		return ok
 	}
 
 	// Global bound: a cache with room keeps same-shard keys even when
 	// they all hash into one shard.
+	first, second, third := shardKey(0, "first"), shardKey(0, "second"), shardKey(0, "third")
 	c = NewCache(2 * cacheShards)
-	c.put("a-first", res)
-	c.put("a-second", res)
-	c.put("a-third", res)
+	c.pipe.put(first, res)
+	c.pipe.put(second, res)
+	c.pipe.put(third, res)
 	if c.Len() != 3 {
 		t.Fatalf("below capacity, Len = %d after three same-shard puts, want 3", c.Len())
 	}
-	for _, k := range []string{"a-first", "a-second", "a-third"} {
-		if c.get(k) == nil {
-			t.Errorf("same-shard key %q evicted below capacity", k)
+	for i, k := range []SourceKey{first, second, third} {
+		if !has(k) {
+			t.Errorf("same-shard key %d evicted below capacity", i)
 		}
 	}
 
 	// At capacity, eviction is LRU within the inserting key's shard:
-	// NewCache(2) keeps two active shards; the "a-" keys share one.
+	// NewCache(2) keeps two active shards; the shard-0 keys share one.
 	c = NewCache(2)
-	c.put("a-first", res)
-	c.put("a-second", res)
-	if c.get("a-first") == nil { // touch: now a-second is LRU
-		t.Fatal("a-first missing before eviction")
+	c.pipe.put(first, res)
+	c.pipe.put(second, res)
+	if !has(first) { // touch: now second is LRU
+		t.Fatal("first missing before eviction")
 	}
-	c.put("a-third", res)
-	if c.get("a-first") == nil {
+	c.pipe.put(third, res)
+	if !has(first) {
 		t.Error("recently used entry was evicted")
 	}
-	if c.get("a-second") != nil {
+	if has(second) {
 		t.Error("least recently used entry survived eviction")
 	}
-	if c.get("a-third") == nil {
+	if !has(third) {
 		t.Error("new entry missing after eviction")
 	}
 	if c.Len() != 2 {
@@ -115,86 +216,90 @@ func TestCacheShardingAndEviction(t *testing.T) {
 	}
 
 	// A full cache whose new key lands in an empty shard steals the LRU
-	// of a non-empty shard instead of exceeding the bound ("b-steal"
-	// hashes to the second active shard of a capacity-2 cache).
-	c.put("b-steal", res)
+	// of a non-empty shard instead of exceeding the bound.
+	steal := shardKey(1, "steal")
+	c.pipe.put(steal, res)
 	if c.Len() != 2 {
 		t.Errorf("Len = %d after cross-shard steal, want 2", c.Len())
 	}
-	if c.get("b-steal") == nil {
+	if !has(steal) {
 		t.Error("fresh entry missing after cross-shard steal")
 	}
-	if c.get("a-third") == nil {
+	if !has(third) {
 		t.Error("most recently used entry of the donor shard was stolen")
 	}
-	if c.get("a-first") != nil {
+	if has(first) {
 		t.Error("donor shard LRU survived the steal")
 	}
 }
 
-// TestCacheSingleflight checks the miss-collapse contract of Cache.do:
-// concurrent callers of one key run compute exactly once and share the
-// result, and failed computes are not cached (the next caller retries).
+// TestCacheSingleflight checks the miss-collapse contract of both
+// tiers: concurrent callers of one key run compute exactly once and
+// share the result, and failed computes are not cached (the next caller
+// retries).
 func TestCacheSingleflight(t *testing.T) {
-	c := NewCache(8)
-	const callers = 8
-	var (
-		started = make(chan struct{})
-		calls   atomic.Int64
-		wg      sync.WaitGroup
-		results [callers]*Result
-	)
-	want := &Result{}
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-started
-			res, _, err := c.do(context.Background(), "deadbeef", func() (*Result, error) {
-				calls.Add(1)
-				time.Sleep(20 * time.Millisecond) // let the others pile up
-				return want, nil
-			})
-			if err != nil {
-				t.Errorf("caller %d: %v", i, err)
+	for _, leg := range tierLegs {
+		t.Run(leg.name, func(t *testing.T) {
+			c := NewCache(8)
+			const callers = 8
+			var (
+				started = make(chan struct{})
+				calls   atomic.Int64
+				wg      sync.WaitGroup
+				results [callers]*Result
+			)
+			want := &Result{}
+			for i := 0; i < callers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					<-started
+					res, _, err := leg.do(c, context.Background(), shardKey(0, "deadbeef"), func() (*Result, error) {
+						calls.Add(1)
+						time.Sleep(20 * time.Millisecond) // let the others pile up
+						return want, nil
+					})
+					if err != nil {
+						t.Errorf("caller %d: %v", i, err)
+					}
+					results[i] = res
+				}(i)
 			}
-			results[i] = res
-		}(i)
-	}
-	close(started)
-	wg.Wait()
-	if n := calls.Load(); n != 1 {
-		t.Errorf("compute ran %d times for one key, want 1", n)
-	}
-	computes, shared := c.FlightStats()
-	hits, _ := c.Counters()
-	if computes != 1 {
-		t.Errorf("FlightStats computes = %d, want 1", computes)
-	}
-	// Every non-leader was served without computing: either it joined the
-	// flight or arrived after completion and hit the cache.
-	if shared+hits != callers-1 {
-		t.Errorf("shared (%d) + hits (%d) = %d, want %d", shared, hits, shared+hits, callers-1)
-	}
-	for i, res := range results {
-		if res != want {
-			t.Errorf("caller %d got a different result", i)
-		}
-	}
+			close(started)
+			wg.Wait()
+			if n := calls.Load(); n != 1 {
+				t.Errorf("compute ran %d times for one key, want 1", n)
+			}
+			hits, _, shared, computes := leg.counters(c)
+			if computes != 1 {
+				t.Errorf("computes = %d, want 1", computes)
+			}
+			// Every non-leader was served without computing: either it
+			// joined the flight or arrived after completion and hit.
+			if shared+hits != callers-1 {
+				t.Errorf("shared (%d) + hits (%d) = %d, want %d", shared, hits, shared+hits, callers-1)
+			}
+			for i, res := range results {
+				if res != want {
+					t.Errorf("caller %d got a different result", i)
+				}
+			}
 
-	// Errors are not cached: both calls compute.
-	boom := errors.New("boom")
-	for i := 0; i < 2; i++ {
-		_, _, err := c.do(context.Background(), "facade", func() (*Result, error) {
-			calls.Add(1)
-			return nil, boom
+			// Errors are not cached: both calls compute.
+			boom := errors.New("boom")
+			for i := 0; i < 2; i++ {
+				_, _, err := leg.do(c, context.Background(), shardKey(1, "facade"), func() (*Result, error) {
+					calls.Add(1)
+					return nil, boom
+				})
+				if !errors.Is(err, boom) {
+					t.Fatalf("call %d: err = %v, want boom", i, err)
+				}
+			}
+			if n := calls.Load(); n != 3 {
+				t.Errorf("failed compute memoized: %d total calls, want 3", n)
+			}
 		})
-		if !errors.Is(err, boom) {
-			t.Fatalf("call %d: err = %v, want boom", i, err)
-		}
-	}
-	if n := calls.Load(); n != 3 {
-		t.Errorf("failed compute memoized: %d total calls, want 3", n)
 	}
 }
 

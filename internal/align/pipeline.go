@@ -33,15 +33,6 @@ type Options struct {
 	// See NewCache.
 	Cache *Cache
 
-	// NoSourceMemo disables the source-keyed memo tier that front ends
-	// (repro.AlignSource, the alignd daemon) layer in front of this
-	// pipeline; the pipeline itself never consults it. The toggle is
-	// not part of any cache key: the memo stores the same completed
-	// result the pipeline cache computes, so it changes which tier
-	// answers, never the answer. Off (memo enabled) by default; a no-op
-	// without a Cache.
-	NoSourceMemo bool
-
 	// Partition enables compositional solving on top of the (always-on)
 	// component decomposition: each weakly connected component of the
 	// ADG is content-addressed on its own and solved through Cache with
@@ -147,7 +138,7 @@ func AlignContext(ctx context.Context, g *adg.Graph, opts Options) (*Result, err
 	// rebound to g; concurrent misses on the same content key run the
 	// pipeline once — the leader's result is already bound to its own
 	// graph, every waiter rehydrates the shared result onto theirs.
-	res, owned, err := opts.Cache.do(ctx, cacheKey(g, opts), func() (*Result, error) {
+	res, owned, err := opts.Cache.pipe.do(ctx, cacheKey(g, opts), func() (*Result, error) {
 		return alignUncached(g, opts)
 	})
 	if err != nil {

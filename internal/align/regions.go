@@ -73,7 +73,7 @@ func alignRegions(g *adg.Graph, part *adg.Partition, opts Options) (*Result, err
 			results[i], errs[i] = alignMono(rg, ropts)
 			return
 		}
-		res, owned, err := cache.do(opts.ctx, cacheKey(rg, ropts), func() (*Result, error) {
+		res, owned, err := cache.pipe.do(opts.ctx, cacheKey(rg, ropts), func() (*Result, error) {
 			return alignMono(rg, ropts)
 		})
 		if err != nil {

@@ -30,10 +30,10 @@ x(1:20) = x(1:20) + y(3:22)
 
 // regionKeys partitions g and returns the per-region content keys under
 // region sub-options (Partition off — how alignRegions keys them).
-func regionKeys(t *testing.T, g *adg.Graph, opts Options) map[string]bool {
+func regionKeys(t *testing.T, g *adg.Graph, opts Options) map[SourceKey]bool {
 	t.Helper()
 	part := adg.PartitionGraph(g)
-	keys := make(map[string]bool, len(part.Regions))
+	keys := make(map[SourceKey]bool, len(part.Regions))
 	sub := opts
 	sub.Partition = false
 	sub.Cache = nil
@@ -132,62 +132,65 @@ m = m + transpose(n)
 	}
 }
 
-// TestCacheCounterIdentity pins the documented Counters/FlightStats
-// bookkeeping: every completed do() call counts in exactly one of
-// {hits, shared, misses}, and misses equals computes — a singleflight
-// waiter is shared, not a miss (the double-count this identity
-// regression-tests).
+// TestCacheCounterIdentity pins the documented counter bookkeeping of
+// both tiers (Counters/FlightStats, SourceCounters): every completed
+// lookup counts in exactly one of {hits, shared, misses}, and misses
+// equals computes — a singleflight waiter is shared, not a miss (the
+// double-count this identity regression-tests).
 func TestCacheCounterIdentity(t *testing.T) {
-	c := NewCache(8)
-	want := &Result{}
-	var calls atomic.Int64
-	const (
-		keys    = 3
-		callers = 16
-	)
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			key := fmt.Sprintf("%x-counter-key", i%keys)
-			_, _, err := c.do(context.Background(), key, func() (*Result, error) {
-				calls.Add(1)
-				time.Sleep(10 * time.Millisecond) // pile the waiters up
-				return want, nil
-			})
-			if err != nil {
-				t.Errorf("caller %d: %v", i, err)
+	for _, leg := range tierLegs {
+		t.Run(leg.name, func(t *testing.T) {
+			c := NewCache(8)
+			want := &Result{}
+			var calls atomic.Int64
+			const (
+				keys    = 3
+				callers = 16
+			)
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for i := 0; i < callers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					<-start
+					_, _, err := leg.do(c, context.Background(), shardKey(i%keys, "counter-key"), func() (*Result, error) {
+						calls.Add(1)
+						time.Sleep(10 * time.Millisecond) // pile the waiters up
+						return want, nil
+					})
+					if err != nil {
+						t.Errorf("caller %d: %v", i, err)
+					}
+				}(i)
 			}
-		}(i)
-	}
-	close(start)
-	wg.Wait()
-	// A second wave hits the now-complete entries on the fast path.
-	for i := 0; i < keys; i++ {
-		if _, _, err := c.do(context.Background(), fmt.Sprintf("%x-counter-key", i), func() (*Result, error) {
-			t.Errorf("key %d recomputed after completion", i)
-			return want, nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hits, misses := c.Counters()
-	computes, shared := c.FlightStats()
-	if misses != computes {
-		t.Errorf("misses (%d) != computes (%d): a non-leader was counted as a miss", misses, computes)
-	}
-	if computes != calls.Load() {
-		t.Errorf("computes (%d) != actual compute calls (%d)", computes, calls.Load())
-	}
-	if total := hits + shared + misses; total != callers+keys {
-		t.Errorf("hits (%d) + shared (%d) + misses (%d) = %d, want %d completed do() calls",
-			hits, shared, misses, total, callers+keys)
-	}
-	if hits < keys {
-		t.Errorf("hits = %d, want at least the %d fast-path hits of the second wave", hits, keys)
+			close(start)
+			wg.Wait()
+			// A second wave hits the now-complete entries on the fast
+			// path.
+			for i := 0; i < keys; i++ {
+				if _, _, err := leg.do(c, context.Background(), shardKey(i, "counter-key"), func() (*Result, error) {
+					t.Errorf("key %d recomputed after completion", i)
+					return want, nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			hits, misses, shared, computes := leg.counters(c)
+			if misses != computes {
+				t.Errorf("misses (%d) != computes (%d): a non-leader was counted as a miss", misses, computes)
+			}
+			if computes != calls.Load() {
+				t.Errorf("computes (%d) != actual compute calls (%d)", computes, calls.Load())
+			}
+			if total := hits + shared + misses; total != callers+keys {
+				t.Errorf("hits (%d) + shared (%d) + misses (%d) = %d, want %d completed lookups",
+					hits, shared, misses, total, callers+keys)
+			}
+			if hits < keys {
+				t.Errorf("hits = %d, want at least the %d fast-path hits of the second wave", hits, keys)
+			}
+		})
 	}
 }
 

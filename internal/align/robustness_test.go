@@ -26,155 +26,178 @@ do i = 1, 10
 enddo
 `
 
-// TestCacheDoPanicCleanup pins satellite 1: a leader whose compute
-// panics must still clean up its flight (deferred) so future callers
-// for the key compute fresh instead of blocking forever, and a waiter
-// joined to the doomed flight gets an error, not a hang.
+// TestCacheDoPanicCleanup pins satellite 1 on both tiers: a leader
+// whose compute panics must still clean up its flight (deferred) so
+// future callers for the key compute fresh instead of blocking forever,
+// and a waiter joined to the doomed flight gets an error, not a hang.
 func TestCacheDoPanicCleanup(t *testing.T) {
-	c := NewCache(8)
-	ctx := context.Background()
+	for _, leg := range tierLegs {
+		t.Run(leg.name, func(t *testing.T) {
+			c := NewCache(8)
+			ctx := context.Background()
+			doomed := shardKey(0, "doomed")
 
-	entered := make(chan struct{})
-	type outcome struct {
-		owned bool
-		err   error
-	}
-	waiter := make(chan outcome, 1)
-	go func() {
-		<-entered
-		_, owned, err := c.do(ctx, "doomed", func() (*Result, error) {
-			// Legitimate if this waiter arrived only after the panicked
-			// flight was cleaned up: it leads a fresh flight.
-			return &Result{}, nil
-		})
-		waiter <- outcome{owned, err}
-	}()
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("leader's panic was swallowed by Cache.do")
+			entered := make(chan struct{})
+			type outcome struct {
+				owned bool
+				err   error
 			}
-		}()
-		c.do(ctx, "doomed", func() (*Result, error) {
-			close(entered)
-			time.Sleep(50 * time.Millisecond) // let the waiter join the flight
-			panic("compute exploded")
-		})
-	}()
+			waiter := make(chan outcome, 1)
+			go func() {
+				<-entered
+				_, owned, err := leg.do(c, ctx, doomed, func() (*Result, error) {
+					// Legitimate if this waiter arrived only after the
+					// panicked flight was cleaned up: it leads a fresh
+					// flight.
+					return &Result{}, nil
+				})
+				waiter <- outcome{owned, err}
+			}()
 
-	select {
-	case o := <-waiter:
-		// Joined the doomed flight → synthesized error; or arrived after
-		// cleanup → led its own successful flight. Both prove no hang.
-		if o.err == nil && !o.owned {
-			t.Errorf("waiter on a panicked flight reported success it never computed")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("waiter still blocked after the leader panicked: flight not cleaned up")
-	}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("leader's panic was swallowed by the tier")
+					}
+				}()
+				leg.do(c, ctx, doomed, func() (*Result, error) {
+					close(entered)
+					time.Sleep(50 * time.Millisecond) // let the waiter join the flight
+					panic("compute exploded")
+				})
+			}()
 
-	// The key must be retryable: a fresh caller runs its own compute.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		res, _, err := c.do(ctx, "doomed", func() (*Result, error) {
-			return &Result{}, nil
+			select {
+			case o := <-waiter:
+				// Joined the doomed flight → synthesized error; or
+				// arrived after cleanup → led its own successful flight.
+				// Both prove no hang.
+				if o.err == nil && !o.owned {
+					t.Errorf("waiter on a panicked flight reported success it never computed")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("waiter still blocked after the leader panicked: flight not cleaned up")
+			}
+
+			// The key must be retryable: a fresh caller runs its own
+			// compute.
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				res, _, err := leg.do(c, ctx, doomed, func() (*Result, error) {
+					return &Result{}, nil
+				})
+				if err != nil || res == nil {
+					t.Errorf("retry after panic: res=%v err=%v", res, err)
+				}
+			}()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("retry after panicked flight blocked: stale flight entry")
+			}
 		})
-		if err != nil || res == nil {
-			t.Errorf("retry after panic: res=%v err=%v", res, err)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("retry after panicked flight blocked: stale flight entry")
 	}
 }
 
-// TestCacheDoWaiterCancel checks that a waiter whose own context dies
-// abandons the flight without poisoning the leader: the waiter returns
-// its ctx error promptly while the leader completes, caches, and serves
-// later callers normally.
+// TestCacheDoWaiterCancel checks on both tiers that a waiter whose own
+// context dies abandons the flight without poisoning the leader: the
+// waiter returns its ctx error promptly while the leader completes,
+// caches, and serves later callers normally.
 func TestCacheDoWaiterCancel(t *testing.T) {
-	c := NewCache(8)
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	want := &Result{}
+	for _, leg := range tierLegs {
+		t.Run(leg.name, func(t *testing.T) {
+			c := NewCache(8)
+			slow := shardKey(0, "slow")
+			entered := make(chan struct{})
+			release := make(chan struct{})
+			want := &Result{}
 
-	leaderDone := make(chan error, 1)
-	go func() {
-		_, _, err := c.do(context.Background(), "slow", func() (*Result, error) {
-			close(entered)
-			<-release
-			return want, nil
+			leaderDone := make(chan error, 1)
+			go func() {
+				_, _, err := leg.do(c, context.Background(), slow, func() (*Result, error) {
+					close(entered)
+					<-release
+					return want, nil
+				})
+				leaderDone <- err
+			}()
+			<-entered
+
+			wctx, cancel := context.WithCancel(context.Background())
+			waiterDone := make(chan error, 1)
+			go func() {
+				_, _, err := leg.do(c, wctx, slow, func() (*Result, error) {
+					t.Error("canceled waiter ran compute")
+					return nil, nil
+				})
+				waiterDone <- err
+			}()
+			cancel()
+			select {
+			case err := <-waiterDone:
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("abandoning waiter: err = %v, want context.Canceled", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("canceled waiter did not abandon the flight")
+			}
+
+			close(release)
+			if err := <-leaderDone; err != nil {
+				t.Fatalf("leader poisoned by abandoning waiter: %v", err)
+			}
+			if got := leg.get(c, slow); got != want {
+				t.Error("leader's result not cached after a waiter abandoned")
+			}
 		})
-		leaderDone <- err
-	}()
-	<-entered
-
-	wctx, cancel := context.WithCancel(context.Background())
-	waiterDone := make(chan error, 1)
-	go func() {
-		_, _, err := c.do(wctx, "slow", func() (*Result, error) {
-			t.Error("canceled waiter ran compute")
-			return nil, nil
-		})
-		waiterDone <- err
-	}()
-	cancel()
-	select {
-	case err := <-waiterDone:
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("abandoning waiter: err = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("canceled waiter did not abandon the flight")
-	}
-
-	close(release)
-	if err := <-leaderDone; err != nil {
-		t.Fatalf("leader poisoned by abandoning waiter: %v", err)
-	}
-	if got := c.get("slow"); got != want {
-		t.Error("leader's result not cached after a waiter abandoned")
 	}
 }
 
-// TestCacheStrictCapacity pins satellite 3: NewCache(capacity) admits
-// at most capacity entries in total — the bound is enforced globally
-// (the old per-shard ceil rounding let NewCache(1) hold one entry per
-// shard, 16 total) — while a working set no larger than the capacity
-// is never evicted, however unevenly it hashes across shards.
+// TestCacheStrictCapacity pins satellite 3 on both tiers:
+// NewCache(capacity) admits at most capacity entries per tier in total
+// — the bound is enforced globally (the old per-shard ceil rounding let
+// NewCache(1) hold one entry per shard, 16 total) — while a working set
+// no larger than the capacity is never evicted, however unevenly it
+// hashes across shards.
 func TestCacheStrictCapacity(t *testing.T) {
-	for _, capacity := range []int{1, 2, 5, cacheShards, cacheShards + 3, 100} {
-		c := NewCache(capacity)
-		res := &Result{}
-		// Overfill with keys spread across every shard digit.
-		for i := 0; i < 4*cacheShards; i++ {
-			c.put(fmt.Sprintf("%x-key-%d", i%cacheShards, i), res)
-		}
-		if got := c.Len(); got > capacity {
-			t.Errorf("NewCache(%d) holds %d entries after overfill, want <= %d",
-				capacity, got, capacity)
-		}
-		// A working set of exactly capacity keys survives in full even
-		// when every key hashes into the same shard: the bound is
-		// global, not a per-shard quota.
-		c = NewCache(capacity)
-		for i := 0; i < capacity; i++ {
-			c.put(fmt.Sprintf("a-key-%d", i), res)
-		}
-		if got := c.Len(); got != capacity {
-			t.Errorf("NewCache(%d) evicted a fitting same-shard working set: Len = %d",
-				capacity, got)
-		}
-		for i := 0; i < capacity; i++ {
-			if c.get(fmt.Sprintf("a-key-%d", i)) == nil {
-				t.Errorf("NewCache(%d): same-shard key %d evicted below capacity", capacity, i)
-				break
+	for _, leg := range tierLegs {
+		t.Run(leg.name, func(t *testing.T) {
+			res := &Result{}
+			fill := func(c *Cache, k SourceKey) {
+				if _, _, err := leg.do(c, context.Background(), k, func() (*Result, error) { return res, nil }); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
+			for _, capacity := range []int{1, 2, 5, cacheShards, cacheShards + 3, 100} {
+				c := NewCache(capacity)
+				// Overfill with keys spread across every shard.
+				for i := 0; i < 4*cacheShards; i++ {
+					fill(c, shardKey(i%cacheShards, fmt.Sprint(i)))
+				}
+				if got := leg.len(c); got > capacity {
+					t.Errorf("NewCache(%d) holds %d entries after overfill, want <= %d",
+						capacity, got, capacity)
+				}
+				// A working set of exactly capacity keys survives in
+				// full even when every key hashes into the same shard:
+				// the bound is global, not a per-shard quota.
+				c = NewCache(capacity)
+				for i := 0; i < capacity; i++ {
+					fill(c, shardKey(0, fmt.Sprint(i)))
+				}
+				if got := leg.len(c); got != capacity {
+					t.Errorf("NewCache(%d) evicted a fitting same-shard working set: Len = %d",
+						capacity, got)
+				}
+				for i := 0; i < capacity; i++ {
+					if leg.get(c, shardKey(0, fmt.Sprint(i))) == nil {
+						t.Errorf("NewCache(%d): same-shard key %d evicted below capacity", capacity, i)
+						break
+					}
+				}
+			}
+		})
 	}
 }
 

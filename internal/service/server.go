@@ -42,7 +42,6 @@ import (
 
 	"repro"
 	"repro/internal/align"
-	"repro/internal/lp"
 )
 
 // Config configures a Server.
@@ -76,8 +75,6 @@ type Config struct {
 	NoReplication bool
 	// Partition enables compositional per-region caching.
 	Partition bool
-	// NoPresolve disables the offset-RLP presolver.
-	NoPresolve bool
 }
 
 // Server is the alignment daemon core. Create it with New; it serves
@@ -366,12 +363,8 @@ func (s *Server) requestOptions(strategy string, subranges int, norepl, partitio
 	if partition != nil {
 		part = *partition
 	}
-	presolve := lp.PresolveAuto
-	if s.cfg.NoPresolve {
-		presolve = lp.PresolveOff
-	}
 	return align.Options{
-		Offset:      align.OffsetOptions{Strategy: st, M: m, Presolve: presolve},
+		Offset:      align.OffsetOptions{Strategy: st, M: m},
 		Replication: repl,
 		Cache:       s.cache,
 		Partition:   part,

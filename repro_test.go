@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -114,14 +115,14 @@ func TestLPEffortAccumulatesAcrossRounds(t *testing.T) {
 	// Pin the monolithic warm path: with presolve on, a warm round whose
 	// block costs are unchanged reuses the cached block solutions and
 	// legitimately records zero warm solves.
-	opts := DefaultOptions()
-	opts.NoPresolve = true
-	res, err := AlignSource(`
+	opts := DefaultOptions().alignOptions()
+	opts.Offset.Presolve = lp.PresolveOff
+	res, err := alignSourceLeased(context.Background(), nil, `
 real A(100,100), V(200)
 do k = 1, 100
   A(k,1:100) = A(k,1:100) + V(k:k+99)
 enddo
-`, opts)
+`, opts, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,8 @@ func TestAlignBatchPanicAndBudgetIsolation(t *testing.T) {
 	// The thresholds above were measured on the monolithic simplex path;
 	// the presolver's block decomposition lets the hungry program finish
 	// inside the budget, so pin the path the test is about.
-	opts.NoPresolve = true
+	aopts := opts.alignOptions()
+	aopts.Offset.Presolve = lp.PresolveOff
 
 	good := make([]string, 0, n-2)
 	srcs := make([]string, 0, n)
@@ -79,14 +80,14 @@ func TestAlignBatchPanicAndBudgetIsolation(t *testing.T) {
 		}
 	}
 
-	ref := AlignBatch(good, opts, BatchOptions{Workers: 4})
+	ref := alignBatch(context.Background(), good, aopts, BatchOptions{Workers: 4})
 	for i, r := range ref {
 		if r.Err != nil {
 			t.Fatalf("reference batch slot %d: %v", i, r.Err)
 		}
 	}
 
-	got := AlignBatch(srcs, opts, BatchOptions{Workers: 4})
+	got := alignBatch(context.Background(), srcs, aopts, BatchOptions{Workers: 4})
 	nerr := 0
 	gi := 0
 	for i, r := range got {
