@@ -659,33 +659,19 @@ func BenchmarkAxisStride(b *testing.B) {
 			if _, err := align.AxisStride(g); err != nil { // warm the pools
 				b.Fatal(err)
 			}
-			// The two solvers are measured in interleaved rounds (not
-			// one solver at a time) so a burst of host or GC noise lands
-			// on both instead of skewing whichever solver owned that
-			// window — the gate below compares a ratio, and the min per
-			// solver across rounds cancels common-mode slowdowns.
-			internedT, flat := time.Duration(-1), time.Duration(-1)
-			meas := func(cur *time.Duration, f func() error) {
-				t0 := time.Now()
-				for r := 0; r < 8; r++ {
-					if err := f(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if d := time.Since(t0); *cur < 0 || d < *cur {
-					*cur = d
-				}
-			}
-			for t := 0; t < 4; t++ {
-				meas(&internedT, func() error {
-					_, err := align.AxisStrideInterned(g)
-					return err
-				})
-				meas(&flat, func() error {
-					_, err := align.AxisStride(g)
-					return err
-				})
-			}
+			// The two solvers are measured in interleaved rounds, the
+			// order alternating between rounds, so a burst of host or GC
+			// noise lands on both instead of skewing whichever solver
+			// owned that window — the gate below compares a ratio, and
+			// the min per solver across rounds cancels common-mode
+			// slowdowns.
+			internedT, flat := minTimePair(b, 4, 8, func() error {
+				_, err := align.AxisStrideInterned(g)
+				return err
+			}, func() error {
+				_, err := align.AxisStride(g)
+				return err
+			})
 			var stats align.DPStats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

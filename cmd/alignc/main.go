@@ -119,21 +119,11 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "alignc: no input file; compiling the paper's Figure 1 fragment")
 	}
 
-	opts := repro.Options{Subranges: *m, Replication: !*norepl, Parallelism: *par, Partition: *partition}
-	switch *strategy {
-	case "fixed":
-		opts.Strategy = align.StrategyFixed
-	case "unroll":
-		opts.Strategy = align.StrategyUnroll
-	case "search":
-		opts.Strategy = align.StrategySingle
-	case "zerotrack":
-		opts.Strategy = align.StrategyZeroTrack
-	case "recursive":
-		opts.Strategy = align.StrategyRecursive
-	default:
-		fatal(fmt.Errorf("unknown strategy %q", *strategy))
+	st, err := align.ParseStrategy(*strategy)
+	if err != nil {
+		fatal(err)
 	}
+	opts := repro.Options{Strategy: st, Subranges: *m, Replication: !*norepl, Parallelism: *par, Partition: *partition}
 
 	// Ctrl-C or SIGTERM (what init systems and orchestrators send — the
 	// same drain set alignd hooks) cancels the context: running solves

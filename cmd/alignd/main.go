@@ -52,9 +52,9 @@ func run() int {
 		return 2
 	}
 
-	st, ok := parseStrategy(*strategy)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "alignd: unknown strategy %q\n", *strategy)
+	st, err := align.ParseStrategy(*strategy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "alignd:", err)
 		return 2
 	}
 	overrides, err := parseTenantBudgets(*tenantBudgets)
@@ -117,22 +117,6 @@ func run() int {
 	fmt.Fprint(os.Stderr, srv.MetricsText())
 	fmt.Fprintln(os.Stderr, "alignd: drained")
 	return code
-}
-
-func parseStrategy(s string) (align.Strategy, bool) {
-	switch s {
-	case "fixed":
-		return align.StrategyFixed, true
-	case "unroll":
-		return align.StrategyUnroll, true
-	case "search":
-		return align.StrategySingle, true
-	case "zerotrack":
-		return align.StrategyZeroTrack, true
-	case "recursive":
-		return align.StrategyRecursive, true
-	}
-	return 0, false
 }
 
 // parseTenantBudgets parses "name=slots,name=slots" override lists.

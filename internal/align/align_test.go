@@ -382,3 +382,26 @@ func cloneOffsets(in map[int][]expr.Affine) map[int][]expr.Affine {
 	}
 	return out
 }
+
+// TestParseStrategy pins the one name table alignc, alignd and the
+// service request decoder share.
+func TestParseStrategy(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Strategy
+	}{
+		{"fixed", StrategyFixed},
+		{"unroll", StrategyUnroll},
+		{"search", StrategySingle},
+		{"zerotrack", StrategyZeroTrack},
+		{"recursive", StrategyRecursive},
+	} {
+		got, err := ParseStrategy(tc.name)
+		if err != nil || got != tc.want {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
+	}
+	if _, err := ParseStrategy("bogus"); err == nil || err.Error() != `unknown strategy "bogus"` {
+		t.Errorf("ParseStrategy(bogus) error = %v", err)
+	}
+}

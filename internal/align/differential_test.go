@@ -193,14 +193,26 @@ func TestDifferentialEngines(t *testing.T) {
 		}
 
 		np := sp.build()
-		nsol, nok := trySolveNet(np, &lp.Stats{})
+		var nsol *lp.Solution
+		nf, nok := np.NetworkForm()
+		if nok {
+			nsol, nok = solveNetForm(np, nf, &lp.Stats{})
+		}
 
 		// Presolved leg: Reduce + per-block solve + Postsolve, driven
-		// exactly as the offset solver's cold path drives it. A nil
-		// arena is fine: each block then allocates its own tableau.
+		// through the offset solver's own route (axisLP) past its size
+		// floor. A nil arena is fine: each block then allocates its own
+		// tableau.
 		pp := sp.build()
 		pax := &axisSolver{opts: OffsetOptions{}, stats: &lp.Stats{}}
-		psol, pok, perr := pax.solveReduced(pp)
+		pl := &axisLP{prob: pp}
+		pl.split(pax)
+		pok := pl.red != nil
+		var psol *lp.Solution
+		var perr error
+		if pok {
+			psol, perr = pl.run(pax)
+		}
 
 		if derr != nil {
 			if shape != shapeInfeasible {

@@ -21,26 +21,14 @@ import (
 // contraction bails out on any non-integral displacement or
 // contradictory equality, and SolvePotentials verifies strong duality
 // before reporting success. Every bail-out falls back transparently to
-// Problem.Solve, so callers never observe the tier split — only the
+// the rest of the offset route (axislp.go: the presolved blocks, else
+// the simplex), so callers never observe the tier split — only the
 // effort counters (lp.Stats.NetSolves/Augments) do.
 
 // netEps bounds the float slop tolerated when checking that a
 // contracted displacement is integral (the flow solver works in exact
 // integer arithmetic) and that redundant equalities agree.
 const netEps = 1e-9
-
-// trySolveNet probes p for network structure and, when present, solves
-// it on the flow fast path. ok is false when p is not network-shaped or
-// the fast path declined (non-integral displacements, a contradictory
-// equality chain, or a failed duality certificate); the caller must
-// then fall back to p.Solve().
-func trySolveNet(p *lp.Problem, st *lp.Stats) (*lp.Solution, bool) {
-	nf, ok := p.NetworkForm()
-	if !ok {
-		return nil, false
-	}
-	return solveNetForm(p, nf, st)
-}
 
 // solveNetForm solves a problem already classified as network-shaped.
 // The NetForm may be cached across warm rounds (the classification is

@@ -54,6 +54,24 @@ func (s Strategy) String() string {
 	return "?"
 }
 
+// ParseStrategy maps a strategy's command-line and request name —
+// fixed, unroll, search, zerotrack or recursive — to the Strategy.
+func ParseStrategy(name string) (Strategy, error) {
+	switch name {
+	case "fixed":
+		return StrategyFixed, nil
+	case "unroll":
+		return StrategyUnroll, nil
+	case "search":
+		return StrategySingle, nil
+	case "zerotrack":
+		return StrategyZeroTrack, nil
+	case "recursive":
+		return StrategyRecursive, nil
+	}
+	return 0, fmt.Errorf("unknown strategy %q", name)
+}
+
 // OffsetOptions configures the mobile offset solver.
 type OffsetOptions struct {
 	Strategy Strategy
@@ -92,11 +110,12 @@ type OffsetOptions struct {
 	// testing and baseline measurement; the fast path falls back to the
 	// simplex transparently whenever its preconditions fail.
 	NoNetPath bool
-	// Presolve gates the RLP presolver (lp.Problem.Reduce): pins and
-	// difference-equality chains are contracted out, zero-weight θ
-	// terms dropped, and the residue split into independent blocks
-	// solved per-block (network fast path per block where it applies,
-	// simplex otherwise). The default, lp.PresolveAuto, is on;
+	// Presolve gates the RLP presolver (lp.Problem.Reduce) on every
+	// route that is not a whole-problem flow: pins and
+	// difference-equality chains are contracted out and the residue
+	// split into independent blocks solved per block (network fast path
+	// per block where it applies, simplex otherwise). RLPs below
+	// presolveFloor skip it. The default, lp.PresolveAuto, is on;
 	// lp.PresolveOff solves every RLP exactly as built (differential
 	// testing, baseline measurement).
 	Presolve lp.PresolveMode
@@ -235,8 +254,9 @@ func (ax *axisSolver) solve(res *OffsetResult) error {
 	parts := ax.initialPartitions()
 	var coefs map[coefKey]float64
 	var obj float64
+	refining := ax.opts.Strategy == StrategyZeroTrack || ax.opts.Strategy == StrategyRecursive
 	rounds := 1
-	if ax.opts.Strategy == StrategyZeroTrack || ax.opts.Strategy == StrategyRecursive {
+	if refining {
 		rounds = ax.opts.MaxRefine
 		ax.memoJobs = map[int][]termJob{}
 	}
@@ -245,12 +265,11 @@ func (ax *axisSolver) solve(res *OffsetResult) error {
 			return err
 		}
 		var err error
-		coefs, obj, err = ax.solveRLP(parts, res)
+		coefs, obj, err = ax.newAxisLP(parts, false).solve(ax, res)
 		if err != nil {
 			return err
 		}
-		res.Solves++
-		if ax.opts.Strategy != StrategyZeroTrack && ax.opts.Strategy != StrategyRecursive {
+		if !refining {
 			break
 		}
 		newParts, changed := ax.refinePartitions(parts, coefs)
@@ -259,16 +278,21 @@ func (ax *axisSolver) solve(res *OffsetResult) error {
 		}
 		parts = newParts
 	}
-	// Round to integers and store.
+	return ax.finish(res, coefs, obj)
+}
+
+// finish rounds the solved coefficients to integers, stores them, and
+// runs the state-space search's descent. A cancellation that arrived
+// mid-descent left a feasible but partially optimized labeling; it is
+// reported as an error so a canceled solve never delivers a result
+// that differs from an uncanceled one.
+func (ax *axisSolver) finish(res *OffsetResult, coefs map[coefKey]float64, obj float64) error {
 	ints := roundCoefs(coefs)
 	ax.store(res, ints)
 	res.Approx += obj
 	if ax.opts.Strategy == StrategySingle {
 		ax.steepestDescent(res, ints)
 	}
-	// A cancellation that arrived mid-descent left a feasible but
-	// partially optimized labeling; report it as an error so a canceled
-	// solve never delivers a result that differs from an uncanceled one.
 	return ax.ctxErr()
 }
 
@@ -305,57 +329,6 @@ func (ax *axisSolver) initialPartitions() map[int][]space.Space {
 	return parts
 }
 
-// solveRLP builds and solves one rounded-linear-programming instance for
-// the current axis with the given subrange partitions.
-func (ax *axisSolver) solveRLP(parts map[int][]space.Space, res *OffsetResult) (map[coefKey]float64, float64, error) {
-	prob, vars := ax.buildRLP(parts)
-	if prob.NumVariables() > res.LPVariables {
-		res.LPVariables = prob.NumVariables()
-	}
-	if prob.NumConstraints() > res.LPConstraints {
-		res.LPConstraints = prob.NumConstraints()
-	}
-	sol, err := ax.solveProb(prob)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := map[coefKey]float64{}
-	for k, v := range vars {
-		out[k] = sol.Value(v)
-	}
-	return out, sol.Objective, nil
-}
-
-// solveProb solves one RLP instance, cheapest engine first: the
-// network-dual fast path when the whole problem has network structure
-// (and the path is enabled), then the presolve/block-split reduction
-// (which routes network-shaped blocks to the flow solver even when the
-// whole RLP is not network-form), and finally the plain simplex. Every
-// tier is exact and self-certifying, so a decline at any stage falls
-// through without observable effect beyond the effort counters.
-func (ax *axisSolver) solveProb(prob *lp.Problem) (*lp.Solution, error) {
-	if !ax.opts.NoNetPath {
-		if sol, ok := trySolveNet(prob, ax.stats); ok {
-			return sol, nil
-		}
-	}
-	if sol, ok, err := ax.solveReduced(prob); ok || err != nil {
-		return sol, err
-	}
-	return prob.Solve()
-}
-
-// presolveFloor is the RLP size floor (variables + constraints) below
-// which the offset solver skips the presolver: on tiny axis problems
-// the reduction's snapshot-and-contract pass costs more than the
-// handful of simplex pivots it saves, and E17 measured the fig1 RLPs
-// (183) as a net ~9% regression under presolve while the mixed
-// partial-network workload (256) and the rank4-dp RLPs (558) gain from
-// it. 220 splits those measured sizes. The floor lives here, not in
-// lp.Options' default, so lp's own presolve unit and differential
-// tests keep exercising the reduction at every size.
-const presolveFloor = 220
-
 // buildRLP constructs the RLP instance for the current axis.
 func (ax *axisSolver) buildRLP(parts map[int][]space.Space) (*lp.Problem, map[coefKey]lp.VarID) {
 	prob := lp.NewProblem()
@@ -364,7 +337,7 @@ func (ax *axisSolver) buildRLP(parts map[int][]space.Space) (*lp.Problem, map[co
 	}
 	prob.SetArena(ax.arena)
 	prob.SetStats(ax.stats)
-	prob.SetOptions(lp.Options{MaxIter: ax.opts.MaxIter, Ctx: ax.opts.ctx, Engine: ax.opts.Engine, Presolve: ax.opts.Presolve, PresolveFloor: presolveFloor})
+	prob.SetOptions(lp.Options{MaxIter: ax.opts.MaxIter, Ctx: ax.opts.ctx, Engine: ax.opts.Engine})
 	if ax.warmAll {
 		ax.thetas = map[int][]lp.VarID{}
 	}

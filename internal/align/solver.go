@@ -29,34 +29,11 @@ type OffsetSolver struct {
 
 // axisState is the retained per-axis solver state across rounds.
 type axisState struct {
-	ax   *axisSolver
-	warm bool // keep the basis and re-solve via WarmSolve
-	prob *lp.Problem
-	vars map[coefKey]lp.VarID
-	// nf is the cached network classification of prob: the structure is
-	// round-invariant under warmAll (only θ costs change), so the probe
-	// runs once and every later round re-solves the flow directly.
-	nf *lp.NetForm
-	// red and blocks hold the presolved decomposition when the whole
-	// problem is not network-form: the reduction (and with it the block
-	// structure) is round-invariant under warmAll, so it runs once and
-	// every round re-solves only the blocks whose θ costs changed —
-	// clean blocks reuse their cached solution outright.
-	red    *lp.Reduction
-	blocks []*warmBlock
-}
-
-// warmBlock is one independent block of a presolved warm-path RLP.
-type warmBlock struct {
-	prob *lp.Problem
-	// nf is the block's cached network classification; network-shaped
-	// blocks re-solve as a flow every round, the rest keep a warm
-	// simplex basis.
-	nf *lp.NetForm
-	// sol is the block's last solution; reused as long as the block
-	// stays clean (no cost on any of its variables changed).
-	sol   *lp.Solution
-	dirty bool
+	ax *axisSolver
+	// rlp is the axis RLP kept across §6 rounds under ax.warmAll: its
+	// constraint matrix is round-invariant, so each round only rewrites
+	// θ costs and re-solves.
+	rlp *axisLP
 }
 
 // NewOffsetSolver returns a reusable solver for the graph. Repeated
@@ -77,8 +54,7 @@ func newOffsetSolver(g *adg.Graph, as *AxisStrideResult, opts OffsetOptions, reu
 	s := &OffsetSolver{g: g, as: as, opts: opts}
 	for t := 0; t < g.TemplateRank; t++ {
 		s.axes = append(s.axes, &axisState{
-			ax:   &axisSolver{g: g, as: as, axis: t, opts: opts, warmAll: warm},
-			warm: warm,
+			ax: &axisSolver{g: g, as: as, axis: t, opts: opts, warmAll: warm},
 		})
 	}
 	return s
@@ -162,150 +138,37 @@ func (s *OffsetSolver) releaseScratch() {
 			s.opts.scratch.putArena(st.ax.arena)
 			st.ax.arena = nil
 		}
-		st.prob = nil
-		st.vars = nil
-		st.nf = nil
-		st.red = nil
-		st.blocks = nil
+		st.rlp = nil
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// solve runs one round for this axis into res: cold (build + two-phase
-// solve) the first time or for non-warm strategies, warm (θ cost rebuild
-// + phase-2 re-optimization) afterwards.
+// solve runs one round for this axis into res: the one-shot solve for
+// non-warm strategies; otherwise the kept RLP, built the first time and
+// re-solved after a θ cost rebuild afterwards.
 func (st *axisState) solve(res *OffsetResult) error {
 	ax := st.ax
-	if !st.warm {
+	if !ax.warmAll {
 		return ax.solve(res)
 	}
-	if st.prob == nil {
-		st.prob, st.vars = ax.buildRLP(ax.initialPartitions())
-		if !ax.opts.NoNetPath {
-			st.nf, _ = st.prob.NetworkForm()
-		}
-		if st.nf == nil {
-			// Not network-shaped as a whole: presolve once (keeping the
-			// zero-cost θ terms — their costs flip between rounds) and
-			// warm-start per block. Blocks keeping a basis must not
-			// share an arena, so they allocate their own tableaux.
-			if red, ok := st.prob.Reduce(false); ok {
-				st.red = red
-				for i := range red.Blocks {
-					wb := &warmBlock{prob: red.Blocks[i].Prob, dirty: true}
-					wb.prob.KeepBasis()
-					if !ax.opts.NoNetPath {
-						wb.nf, _ = wb.prob.NetworkForm()
-					}
-					st.blocks = append(st.blocks, wb)
-				}
-			}
-		}
-		if st.red == nil {
-			st.prob.KeepBasis()
-		}
+	if st.rlp == nil {
+		st.rlp = ax.newAxisLP(ax.initialPartitions(), true)
 	} else {
 		// Only the objective changes across rounds: a θ term counts 1
 		// when its edge is live under the current labeling, 0 when the
-		// edge has a replicated endpoint (§5.1). Under a presolved
-		// decomposition a cost change dirties exactly the block holding
-		// the θ; untouched blocks keep last round's solution.
-		st.prob.SetStats(ax.stats)
+		// edge has a replicated endpoint (§5.1).
 		for eid, ths := range ax.thetas {
 			cost := 0.0
 			if ax.liveEdge(ax.g.Edges[eid]) {
 				cost = 1
 			}
 			for _, th := range ths {
-				if st.prob.Cost(th) == cost {
-					continue
-				}
-				st.prob.SetCost(th, cost)
-				if st.red != nil {
-					if bi, bv, ok := st.red.BlockVar(th); ok {
-						st.blocks[bi].prob.SetCost(bv, cost)
-						st.blocks[bi].dirty = true
-					}
-				}
+				st.rlp.setCost(th, cost)
 			}
 		}
 	}
-	if st.prob.NumVariables() > res.LPVariables {
-		res.LPVariables = st.prob.NumVariables()
+	coefs, obj, err := st.rlp.solve(ax, res)
+	if err != nil {
+		return err
 	}
-	if st.prob.NumConstraints() > res.LPConstraints {
-		res.LPConstraints = st.prob.NumConstraints()
-	}
-	var sol *lp.Solution
-	if st.nf != nil {
-		// Network-shaped axis: every round (cold and warm) is a direct
-		// flow solve — costs are re-read from the problem, so the §6 cost
-		// flips are honored without any basis to keep warm.
-		sol, _ = solveNetForm(st.prob, st.nf, ax.stats)
-	}
-	if sol == nil && st.red != nil {
-		var err error
-		sol, err = st.solveBlocksWarm()
-		if err != nil {
-			return err
-		}
-	}
-	if sol == nil {
-		var err error
-		sol, err = st.prob.WarmSolve()
-		if err != nil {
-			return err
-		}
-	}
-	res.Solves++
-	res.Approx += sol.Objective
-	coefs := make(map[coefKey]float64, len(st.vars))
-	for k, v := range st.vars {
-		coefs[k] = sol.Value(v)
-	}
-	ints := roundCoefs(coefs)
-	ax.store(res, ints)
-	if ax.opts.Strategy == StrategySingle {
-		ax.steepestDescent(res, ints)
-	}
-	// See axisSolver.solve: surface a mid-descent cancellation instead of
-	// delivering a partially optimized labeling as success.
-	return ax.ctxErr()
-}
-
-// solveBlocksWarm re-solves the dirty blocks of a presolved warm-path
-// axis and stitches the full solution from the per-block solutions.
-// Clean blocks (no cost change since their last solve) are reused
-// without any solver work and without touching the effort counters.
-func (st *axisState) solveBlocksWarm() (*lp.Solution, error) {
-	ax := st.ax
-	sols := make([]*lp.Solution, len(st.blocks))
-	for i, wb := range st.blocks {
-		if wb.dirty || wb.sol == nil {
-			wb.prob.SetStats(ax.stats)
-			if ax.stats != nil {
-				ax.stats.Blocks++
-			}
-			var bsol *lp.Solution
-			if wb.nf != nil {
-				bsol, _ = solveNetForm(wb.prob, wb.nf, ax.stats)
-			}
-			if bsol == nil {
-				var err error
-				bsol, err = wb.prob.WarmSolve()
-				if err != nil {
-					return nil, err
-				}
-			}
-			wb.sol, wb.dirty = bsol, false
-		}
-		sols[i] = wb.sol
-	}
-	return st.red.Postsolve(sols), nil
+	return ax.finish(res, coefs, obj)
 }

@@ -36,7 +36,7 @@ type Stats struct {
 	PresolveFixed int
 	// PresolveContracted counts variables Reduce eliminated by
 	// contracting difference-equality chains into their class
-	// representative, plus dropped zero-weight θ terms.
+	// representative.
 	PresolveContracted int
 	// Blocks counts the independent blocks actually solved after
 	// Reduce split a problem (warm rounds skip clean blocks, which are

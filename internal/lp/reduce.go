@@ -17,11 +17,7 @@ import (
 //     are contracted with a weighted union-find, so a whole chain
 //     collapses into one representative carrying the class's summed
 //     objective cost;
-//  3. zero-weight θ terms — nonnegative zero-cost variables appearing
-//     only in ≥ rows with positive coefficient over otherwise-free
-//     variables — are dropped together with their rows (the postsolve
-//     reconstructs them at their lower bound);
-//  4. the surviving rows are rewritten over class representatives,
+//  3. the surviving rows are rewritten over class representatives,
 //     empty satisfied rows are dropped, and the constraint–variable
 //     bipartite graph is split into its connected components, each
 //     becoming an independent Problem.
@@ -72,22 +68,9 @@ type Reduction struct {
 	blockOf []int32
 	colOf   []int32
 
-	// dropped are the rows removed with zero-weight θ variables, kept
-	// so postsolve can place each dropped θ at its lower bound.
-	dropped []droppedRow
-
 	// Fixed and Contracted are the eliminated-variable counts
 	// (mirrored into Stats by Reduce).
 	Fixed, Contracted int
-}
-
-// droppedRow is one ≥ row removed with a zero-cost θ: coef·θ + Σ
-// entries ≥ rhs, entries over representatives.
-type droppedRow struct {
-	theta   int // original variable index
-	coef    float64
-	entries []redEnt
-	rhs     float64
 }
 
 type redEnt struct {
@@ -145,22 +128,14 @@ func (r *Reduction) merge(a, b int, d float64) (bool, bool) {
 }
 
 // Reduce runs the presolver on p: pin and contract the equality
-// structure, optionally drop zero-weight θ terms (dropZero; leave them
-// when objective costs will change between warm rounds), rewrite the
-// surviving rows over class representatives, and split the result into
-// independent blocks. It returns ok = false — and the caller must fall
-// back to Solve — when presolve is disabled, the reduction detects a
+// structure, rewrite the surviving rows over class representatives, and
+// split the result into independent blocks. It returns ok = false — and
+// the caller must fall back to Solve — when the reduction detects a
 // contradiction or possible unboundedness (the simplex owns error
 // diagnosis), or nothing was reduced.
-func (p *Problem) Reduce(dropZero bool) (*Reduction, bool) {
-	if p.opt.Presolve == PresolveOff {
-		return nil, false
-	}
+func (p *Problem) Reduce() (*Reduction, bool) {
 	n := len(p.names)
 	if n == 0 || len(p.cons) == 0 {
-		return nil, false
-	}
-	if f := p.opt.PresolveFloor; f > 0 && n+len(p.cons) < f {
 		return nil, false
 	}
 	r := &Reduction{p: p, n: n}
@@ -297,10 +272,6 @@ func (p *Problem) Reduce(dropZero bool) (*Reduction, bool) {
 	// entries without reallocating.
 	finBuf := make([]redEnt, 0, nnz)
 	occ := make([]int32, n) // representative occurrence count
-	geOnly := make([]bool, n)
-	for v := range geOnly {
-		geOnly[v] = true
-	}
 	for i := range rows {
 		ro := &rows[i]
 		if !ro.live {
@@ -327,9 +298,6 @@ func (p *Problem) Reduce(dropZero bool) (*Reduction, bool) {
 		fr := finalRow{entries: finBuf[start:], op: ro.op, rhs: rhs}
 		for _, e := range fr.entries {
 			occ[e.v]++
-			if !(ro.op == GE && e.a > 0) {
-				geOnly[e.v] = false
-			}
 		}
 		finals = append(finals, fr)
 	}
@@ -347,74 +315,11 @@ func (p *Problem) Reduce(dropZero bool) (*Reduction, bool) {
 		}
 	}
 
-	// Zero-weight θ drop (cold solves only): a nonnegative zero-cost
-	// variable appearing only in ≥ rows with positive coefficient can
-	// always satisfy its rows, so they constrain nothing else. Require
-	// every co-occurring variable to be free so the postsolve can
-	// evaluate the dropped rows without ordering concerns.
-	droppedVar := make([]bool, n)
-	if dropZero {
-		rowDead := make([]bool, len(finals))
-		for v := 0; v < n; v++ {
-			root, _ := r.find(v)
-			if root != v || p.free[v] || aggCost[v] != 0 || occ[v] == 0 || !geOnly[v] {
-				continue
-			}
-			ok := true
-			var cand []int
-			for fi := range finals {
-				fr := &finals[fi]
-				uses := false
-				for _, e := range fr.entries {
-					if e.v == v {
-						uses = true
-					} else if !p.free[e.v] {
-						ok = false
-					}
-				}
-				if uses {
-					cand = append(cand, fi)
-				}
-				if !ok {
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			droppedVar[v] = true
-			for _, fi := range cand {
-				fr := &finals[fi]
-				rowDead[fi] = true
-				dr := droppedRow{theta: v, rhs: fr.rhs}
-				for _, e := range fr.entries {
-					if e.v == v {
-						dr.coef = e.a
-					} else {
-						dr.entries = append(dr.entries, e)
-						occ[e.v]--
-					}
-				}
-				occ[v]--
-				r.dropped = append(r.dropped, dr)
-			}
-		}
-		if len(r.dropped) > 0 {
-			kept := finals[:0]
-			for fi := range finals {
-				if !rowDead[fi] {
-					kept = append(kept, finals[fi])
-				}
-			}
-			finals = kept
-		}
-	}
-
 	// Unconstrained representatives take value 0; that is only sound
 	// when moving them cannot improve the objective.
 	for v := 0; v < n; v++ {
 		root, _ := r.find(v)
-		if root != v || root == gRoot || occ[v] > 0 || droppedVar[v] {
+		if root != v || root == gRoot || occ[v] > 0 {
 			continue
 		}
 		if (p.free[v] && aggCost[v] != 0) || (!p.free[v] && aggCost[v] < 0) {
@@ -429,8 +334,6 @@ func (p *Problem) Reduce(dropZero bool) (*Reduction, bool) {
 		case root == gRoot:
 			r.Fixed++
 		case root != v:
-			r.Contracted++
-		case droppedVar[v]:
 			r.Contracted++
 		}
 	}
@@ -491,9 +394,9 @@ func (p *Problem) Reduce(dropZero bool) (*Reduction, bool) {
 	// EngineAuto size threshold per block can demote it to the dense
 	// tableau right where that core is slowest. If the parent
 	// qualified for the sparse core, its blocks keep it.
-	blockEngine := p.opt.Engine
-	if blockEngine == EngineAuto && p.chooseSparse() {
-		blockEngine = EngineSparse
+	blockOpt := p.opt
+	if p.chooseSparse() {
+		blockOpt.Engine = EngineSparse
 	}
 	// Assign variables to blocks in ascending order.
 	for v := 0; v < n; v++ {
@@ -504,8 +407,7 @@ func (p *Problem) Reduce(dropZero bool) (*Reduction, bool) {
 		blk := &r.Blocks[bi]
 		if blk.Prob == nil {
 			blk.Prob = NewProblem()
-			blk.Prob.opt = p.opt
-			blk.Prob.opt.Engine = blockEngine
+			blk.Prob.opt = blockOpt
 		}
 		r.blockOf[v] = bi
 		r.colOf[v] = int32(len(blk.Vars))
@@ -534,8 +436,8 @@ func (p *Problem) Reduce(dropZero bool) (*Reduction, bool) {
 
 // BlockVar maps an original variable to the block and block-local
 // VarID of its class representative; ok = false when the variable was
-// eliminated (fixed, contracted into a representative that itself sits
-// in no block, or dropped).
+// eliminated (fixed, or contracted into a representative that itself
+// sits in no block).
 func (r *Reduction) BlockVar(v VarID) (int, VarID, bool) {
 	root, _ := r.find(int(v))
 	if root >= r.n || r.blockOf[root] < 0 {
@@ -546,9 +448,8 @@ func (r *Reduction) BlockVar(v VarID) (int, VarID, bool) {
 
 // Postsolve reconstructs a full solution of the original problem from
 // the per-block solutions (indexed like Blocks). Eliminated variables
-// are rebuilt from the union-find offsets, dropped θs sit at their
-// lower bound, and the objective is recomputed from the original
-// costs, so the result is exactly what a direct solve would report for
+// are rebuilt from the union-find offsets, and the objective is
+// recomputed from the original costs, so the result is exactly what a direct solve would report for
 // the same vertex.
 func (r *Reduction) Postsolve(sols []*Solution) *Solution {
 	rootVal := make([]float64, r.n)
@@ -566,22 +467,6 @@ func (r *Reduction) Postsolve(sols []*Solution) *Solution {
 			values[v] = o - r.gOff
 		} else {
 			values[v] = rootVal[root] + o
-		}
-	}
-	// Dropped θs: the smallest feasible value of their removed rows.
-	for _, dr := range r.dropped {
-		lhs := 0.0
-		for _, e := range dr.entries {
-			root, o := r.find(e.v)
-			if root == r.gr {
-				lhs += e.a * (o - r.gOff)
-			} else {
-				lhs += e.a * (rootVal[root] + o)
-			}
-		}
-		// coef·θ + lhs ≥ rhs ⇒ θ ≥ (rhs − lhs)/coef.
-		if lb := (dr.rhs - lhs) / dr.coef; lb > values[dr.theta] {
-			values[dr.theta] = lb
 		}
 	}
 	obj := 0.0

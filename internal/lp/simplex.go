@@ -73,30 +73,17 @@ type Options struct {
 	// tableau otherwise; EngineDense / EngineSparse force a core
 	// (differential testing, benchmarking baselines).
 	Engine Engine
-	// Presolve gates Problem.Reduce, the contraction/block-split
-	// presolver callers may run before Solve: PresolveAuto (the zero
-	// value) allows it, PresolveOff makes Reduce decline so every solve
-	// runs on the problem exactly as built (differential testing,
-	// baseline measurement).
-	Presolve PresolveMode
-	// PresolveFloor, when > 0, makes Reduce decline on problems with
-	// fewer than this many variables plus constraints: below the floor
-	// the snapshot-and-contract pass costs more than the monolithic
-	// simplex it saves (tiny RLPs solve in a handful of pivots). Zero —
-	// the default — imposes no floor, so presolve unit and differential
-	// tests exercise the reduction on problems of every size.
-	PresolveFloor int
 }
 
-// PresolveMode gates the Reduce presolver; see Options.Presolve.
+// PresolveMode says whether a caller runs the Reduce presolver before
+// solving. Reduce itself reads no mode: the caller checks it.
 type PresolveMode int
 
 // Presolve modes.
 const (
-	// PresolveAuto (the default) lets Reduce contract and block-split
-	// the problem.
+	// PresolveAuto (the default) runs Reduce.
 	PresolveAuto PresolveMode = iota
-	// PresolveOff makes Reduce always decline.
+	// PresolveOff solves every problem exactly as built.
 	PresolveOff
 )
 

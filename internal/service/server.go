@@ -336,20 +336,11 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 // defaults. An unknown strategy name is reported as an error.
 func (s *Server) requestOptions(strategy string, subranges int, norepl, partition *bool) (align.Options, error) {
 	st := s.cfg.Strategy
-	switch strategy {
-	case "":
-	case "fixed":
-		st = align.StrategyFixed
-	case "unroll":
-		st = align.StrategyUnroll
-	case "search":
-		st = align.StrategySingle
-	case "zerotrack":
-		st = align.StrategyZeroTrack
-	case "recursive":
-		st = align.StrategyRecursive
-	default:
-		return align.Options{}, fmt.Errorf("unknown strategy %q", strategy)
+	if strategy != "" {
+		var err error
+		if st, err = align.ParseStrategy(strategy); err != nil {
+			return align.Options{}, err
+		}
 	}
 	m := s.cfg.Subranges
 	if subranges > 0 {
