@@ -143,7 +143,7 @@ func AlignProgramContext(ctx context.Context, prog *lang.Program, opts Options) 
 		return nil, err
 	}
 	res := &Result{Program: prog, Info: info, Graph: g, Align: ar}
-	res.Cost = cost.Exact(g, ar.Assignment)
+	res.Cost = ar.Cost
 	return res, nil
 }
 

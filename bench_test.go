@@ -446,19 +446,19 @@ do k = 1, 8
 enddo
 `
 
-func rank4Graph(b *testing.B) (*adg.Graph, *align.AxisStrideResult) {
-	b.Helper()
+func rank4Graph(tb testing.TB) (*adg.Graph, *align.AxisStrideResult) {
+	tb.Helper()
 	info, err := lang.Analyze(lang.MustParse(rank4Src))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	g, err := build.Build(info)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	as, err := align.AxisStride(g)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return g, as
 }
@@ -531,6 +531,22 @@ func BenchmarkOffsetsWarmStart(b *testing.B) {
 	if coldPivots > 0 && warmPivots >= coldPivots {
 		b.Errorf("warm re-solve pivots (%d) not below cold solve pivots (%d)", warmPivots, coldPivots)
 	}
+}
+
+// TestColdOffsetsAllocs bounds the cold offsets phase that
+// BenchmarkOffsetsWarmStart/cold times (rank-4, no replication): every
+// solve builds each axis RLP, sums its moments and runs both simplex
+// phases from scratch. Measured ~10 400 allocs/op, down from ~33 000
+// when the moments were summed as symbolic polynomials and LP rows were
+// maps; the gate at 14 000 catches a return to symbolic moment sums.
+func TestColdOffsetsAllocs(t *testing.T) {
+	g, as := rank4Graph(t)
+	opts := align.OffsetOptions{Strategy: align.StrategyFixed, M: 3, Parallelism: 1}
+	repl := align.NoReplication(g)
+	checkAllocs(t, 5, 14000, func() error {
+		_, err := align.Offsets(g, as, repl, opts)
+		return err
+	})
 }
 
 // axisHeavySrc is the rank-4 workload for the §3 compact DP itself:

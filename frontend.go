@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/align"
 	"repro/internal/build"
-	"repro/internal/cost"
 	"repro/internal/lang"
 )
 
@@ -134,7 +133,7 @@ func frontendSolve(ctx context.Context, sched *align.Scheduler, src string, aopt
 		return nil, err
 	}
 	res := &Result{Program: prog, Info: info, Graph: g, Align: ar, Frontend: ft}
-	res.Cost = cost.Exact(g, ar.Assignment)
+	res.Cost = ar.Cost
 	return res, nil
 }
 

@@ -143,9 +143,15 @@ type Assignment struct {
 // NewAssignment returns an assignment giving every port the identity
 // alignment for its rank.
 func NewAssignment(g *Graph) *Assignment {
-	as := &Assignment{g: g, align: map[int]Alignment{}}
+	return NewAssignmentFunc(g, func(p *Port) Alignment { return NewAlignment(p.Rank, g.TemplateRank) })
+}
+
+// NewAssignmentFunc returns an assignment giving every port p the
+// alignment of(p).
+func NewAssignmentFunc(g *Graph, of func(p *Port) Alignment) *Assignment {
+	as := &Assignment{g: g, align: make(map[int]Alignment, len(g.Ports))}
 	for _, p := range g.Ports {
-		as.align[p.ID] = NewAlignment(p.Rank, g.TemplateRank)
+		as.align[p.ID] = of(p)
 	}
 	return as
 }

@@ -618,6 +618,7 @@ func (r *Result) rehydrate(g *adg.Graph) *Result {
 		AxisStride: as,
 		Repl:       repl,
 		Offset:     off,
+		Cost:       r.Cost,
 		CacheHit:   true,
 		Regions:    r.Regions,
 		RegionHits: r.RegionHits,

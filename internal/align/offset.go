@@ -450,7 +450,7 @@ type termJob struct {
 	livs []string
 	sub  space.Space
 	m0   int64
-	mv   map[string]int64
+	mv   []int64 // first moments, indexed like livs
 	done bool
 }
 
@@ -530,7 +530,7 @@ func computeMoments(jobs []termJob, par int) {
 
 // addEdgeTerm emits θ ≥ ±Σ_{i∈sub} w(i)·span(i) for one subrange, from
 // precomputed moments.
-func (ax *axisSolver) addEdgeTerm(prob *lp.Problem, varOf func(coefKey) lp.VarID, e *adg.Edge, livs []string, m0 int64, mv map[string]int64) {
+func (ax *axisSolver) addEdgeTerm(prob *lp.Problem, varOf func(coefKey) lp.VarID, e *adg.Edge, livs []string, m0 int64, mv []int64) {
 	if m0 == 0 && allZero(mv) {
 		return
 	}
@@ -548,9 +548,9 @@ func (ax *axisSolver) addEdgeTerm(prob *lp.Problem, varOf func(coefKey) lp.VarID
 	c := e.Control
 	addTerm(coefKey{port: e.Src.ID}, c*float64(m0))
 	addTerm(coefKey{port: e.Dst.ID}, -c*float64(m0))
-	for _, liv := range livs {
-		addTerm(coefKey{port: e.Src.ID, liv: liv}, c*float64(mv[liv]))
-		addTerm(coefKey{port: e.Dst.ID, liv: liv}, -c*float64(mv[liv]))
+	for k, liv := range livs {
+		addTerm(coefKey{port: e.Src.ID, liv: liv}, c*float64(mv[k]))
+		addTerm(coefKey{port: e.Dst.ID, liv: liv}, -c*float64(mv[k]))
 	}
 	prob.AddConstraint(pos, lp.GE, 0) // θ − L ≥ 0
 	prob.AddConstraint(neg, lp.GE, 0) // θ + L ≥ 0
@@ -562,9 +562,9 @@ func (ax *axisSolver) addEdgeTermSymbolic(prob *lp.Problem, varOf func(coefKey) 
 	sp := e.Space()
 	w := e.Weight()
 	m0 := sp.TotalOf(w)
-	mv := map[string]int64{}
-	for _, liv := range sp.LIVs {
-		mv[liv] = sp.TotalOf(w.Mul(expr.PolyVar(liv)))
+	mv := make([]int64, len(sp.LIVs))
+	for k, liv := range sp.LIVs {
+		mv[k] = sp.TotalOf(w.Mul(expr.PolyVar(liv)))
 	}
 	if m0 == 0 && allZero(mv) {
 		return
@@ -583,28 +583,32 @@ func (ax *axisSolver) addEdgeTermSymbolic(prob *lp.Problem, varOf func(coefKey) 
 	c := e.Control
 	addTerm(coefKey{port: e.Src.ID}, c*float64(m0))
 	addTerm(coefKey{port: e.Dst.ID}, -c*float64(m0))
-	for _, liv := range sp.LIVs {
-		addTerm(coefKey{port: e.Src.ID, liv: liv}, c*float64(mv[liv]))
-		addTerm(coefKey{port: e.Dst.ID, liv: liv}, -c*float64(mv[liv]))
+	for k, liv := range sp.LIVs {
+		addTerm(coefKey{port: e.Src.ID, liv: liv}, c*float64(mv[k]))
+		addTerm(coefKey{port: e.Dst.ID, liv: liv}, -c*float64(mv[k]))
 	}
 	prob.AddConstraint(pos, lp.GE, 0)
 	prob.AddConstraint(neg, lp.GE, 0)
 }
 
-// moments returns M0 = Σ_{i∈sub} w(i) and Mv = Σ_{i∈sub} w(i)·i_v.
-func moments(w expr.Poly, livs []string, sub space.Space) (int64, map[string]int64) {
-	m0p := expr.SumOverSpace(w, livs, sub)
-	m0, _ := m0p.IsConst()
-	mv := map[string]int64{}
-	for _, liv := range livs {
-		p := expr.SumOverSpace(w.Mul(expr.PolyVar(liv)), livs, sub)
-		c, _ := p.IsConst()
-		mv[liv] = c
+// moments returns M0 = Σ_{i∈sub} w(i) and Mv[k] = Σ_{i∈sub} w(i)·i_k
+// for each LIV livs[k]. Subranges are boxes of concrete triplets, so
+// expr.SumMoments sums them from per-level power sums; only a weight it
+// declines (a variable other than the LIVs, or sums past its int64
+// bounds) is summed symbolically.
+func moments(w expr.Poly, livs []string, sub space.Space) (int64, []int64) {
+	mv := make([]int64, len(livs))
+	if m0, ok := expr.SumMoments(w, livs, sub, mv); ok {
+		return m0, mv
+	}
+	m0, _ := expr.SumOverSpace(w, livs, sub).IsConst()
+	for k, liv := range livs {
+		mv[k], _ = expr.SumOverSpace(w.Mul(expr.PolyVar(liv)), livs, sub).IsConst()
 	}
 	return m0, mv
 }
 
-func allZero(m map[string]int64) bool {
+func allZero(m []int64) bool {
 	for _, v := range m {
 		if v != 0 {
 			return false

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/adg"
+	"repro/internal/cost"
 	"repro/internal/expr"
 	"repro/internal/lp"
 )
@@ -90,6 +91,10 @@ type Result struct {
 	Offset     *OffsetResult
 	// Assignment is the consolidated per-port alignment.
 	Assignment *adg.Assignment
+	// Cost is the exact §2.3 cost of Assignment (cost.Exact). A
+	// decomposed program sums its regions' costs (no edge crosses
+	// regions), so a region served from the cache is not re-costed.
+	Cost cost.Breakdown
 	// Times records per-phase wall time.
 	Times PhaseTimes
 	// CacheHit reports that this result was served from Options.Cache
@@ -253,6 +258,7 @@ func alignMono(g *adg.Graph, opts Options) (*Result, error) {
 	}
 	res := &Result{Graph: g, AxisStride: as, Repl: repl, Offset: off, Times: times}
 	res.Assignment = res.BuildAssignment()
+	res.Cost = cost.Exact(g, res.Assignment)
 	return res, nil
 }
 
@@ -260,19 +266,37 @@ func alignMono(g *adg.Graph, opts Options) (*Result, error) {
 // alignments. It is exported so callers composing the phases manually
 // (e.g. mobile-vs-static experiments) can evaluate their own results.
 func (r *Result) BuildAssignment() *adg.Assignment {
-	asg := adg.NewAssignment(r.Graph)
+	// Every port's slices are carved, capacity-capped, from one backing
+	// array per element type.
+	tr := r.Graph.TemplateRank
+	nAxes, nAffs := 0, 0
 	for _, p := range r.Graph.Ports {
 		label := r.AxisStride.Labels[p.ID]
+		nAxes += len(label.AxisMap)
+		nAffs += len(label.Stride) + len(r.Offset.Offsets[p.ID])
+	}
+	axes := make([]int, 0, nAxes)
+	affs := make([]expr.Affine, 0, nAffs)
+	repl := make([]bool, tr*len(r.Graph.Ports))
+	carve := func(p *adg.Port) adg.Alignment {
+		label := r.AxisStride.Labels[p.ID]
+		off := r.Offset.Offsets[p.ID]
+		a0, s0 := len(axes), len(affs)
+		axes = append(axes, label.AxisMap...)
+		affs = append(affs, label.Stride...)
+		s1 := len(affs)
+		affs = append(affs, off...)
 		a := adg.Alignment{
-			AxisMap:    append([]int{}, label.AxisMap...),
-			Stride:     append([]expr.Affine{}, label.Stride...),
-			Offset:     append([]expr.Affine{}, r.Offset.Offsets[p.ID]...),
-			Replicated: make([]bool, r.Graph.TemplateRank),
+			AxisMap:    axes[a0:len(axes):len(axes)],
+			Stride:     affs[s0:s1:s1],
+			Offset:     affs[s1:len(affs):len(affs)],
+			Replicated: repl[:tr:tr],
 		}
-		for t := 0; t < r.Graph.TemplateRank; t++ {
+		repl = repl[tr:]
+		for t := 0; t < tr; t++ {
 			a.Replicated[t] = r.Repl.Replicated(p, t)
 		}
-		asg.Set(p, a)
+		return a
 	}
-	return asg
+	return adg.NewAssignmentFunc(r.Graph, carve)
 }

@@ -168,6 +168,7 @@ func reassembleRegions(g *adg.Graph, part *adg.Partition, results []*Result, hit
 				}
 			}
 		}
+		out.Cost.Add(r.Cost)
 		off.Approx += r.Offset.Approx
 		off.Exact += r.Offset.Exact
 		off.Solves += r.Offset.Solves

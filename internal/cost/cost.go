@@ -13,6 +13,8 @@ import (
 	"strings"
 
 	"repro/internal/adg"
+	"repro/internal/expr"
+	"repro/internal/space"
 )
 
 // Breakdown decomposes the total realignment cost of a program.
@@ -69,43 +71,77 @@ func Exact(g *adg.Graph, asg *adg.Assignment) Breakdown {
 func EdgeCost(e *adg.Edge, asg *adg.Assignment) Breakdown {
 	src := asg.Of(e.Src)
 	dst := asg.Of(e.Dst)
-	w := e.Weight()
-	var b Breakdown
+	sp := e.Space()
+	ev := edgeEval{slotOf: make([]int, sp.Rank())}
+	for k, liv := range sp.LIVs {
+		ev.slotOf[k] = ev.slot(liv)
+	}
+	ev.lo = ev.affines(sp.Lo)
+	ev.hi = ev.affines(sp.Hi)
+	ev.step = ev.affines(sp.Step)
+	ev.weight = ev.poly(e.Weight())
 	scale := func(v int64) int64 {
 		if e.Control == 1 {
 			return v
 		}
 		return int64(e.Control * float64(v))
 	}
-	e.Space().Each(func(env map[string]int64) bool {
-		wt := w.Eval(env)
-		if wt == 0 {
-			return true
+
+	// Replication: tail replicated covers any head; head replicated
+	// with non-replicated tail is a broadcast (§5.1).
+	bcast := false
+	for t := range dst.Replicated {
+		if dst.Replicated[t] && !src.Replicated[t] {
+			bcast = true
 		}
-		// Replication: tail replicated covers any head; head replicated
-		// with non-replicated tail is a broadcast (§5.1).
-		bcast := false
-		for t := range dst.Replicated {
-			if dst.Replicated[t] && !src.Replicated[t] {
-				bcast = true
-			}
+	}
+	// Axis/stride mismatch is general communication: a differing axis
+	// map always, differing strides wherever they evaluate apart.
+	general := len(src.AxisMap) != len(dst.AxisMap)
+	var strides [][2]linForm
+	for d := range src.AxisMap {
+		if general {
+			break
+		}
+		if src.AxisMap[d] != dst.AxisMap[d] {
+			general = true
+		} else if !src.Stride[d].Equal(dst.Stride[d]) {
+			strides = append(strides, [2]linForm{ev.affine(src.Stride[d]), ev.affine(dst.Stride[d])})
+		}
+	}
+	var offsets [][2]linForm
+	for t := range src.Offset {
+		if !src.Replicated[t] && !dst.Replicated[t] {
+			offsets = append(offsets, [2]linForm{ev.affine(src.Offset[t]), ev.affine(dst.Offset[t])})
+		}
+	}
+
+	var b Breakdown
+	x := make([]int64, len(ev.names))
+	ev.each(x, 0, func() {
+		wt := ev.weight.eval(x)
+		if wt == 0 {
+			return
 		}
 		if bcast {
 			b.Broadcast += scale(wt)
 			b.BroadcastEvents++
-			return true
+			return
 		}
-		if axisStrideMismatch(src, dst, env) {
+		mismatch := general
+		for _, f := range strides {
+			if f[0].eval(x) != f[1].eval(x) {
+				mismatch = true
+			}
+		}
+		if mismatch {
 			b.General += scale(wt)
 			b.GeneralEvents++
-			return true
+			return
 		}
 		var d int64
-		for t := range src.Offset {
-			if src.Replicated[t] || dst.Replicated[t] {
-				continue
-			}
-			diff := src.Offset[t].Eval(env) - dst.Offset[t].Eval(env)
+		for _, f := range offsets {
+			diff := f[0].eval(x) - f[1].eval(x)
 			if diff < 0 {
 				diff = -diff
 			}
@@ -115,24 +151,137 @@ func EdgeCost(e *adg.Edge, asg *adg.Assignment) Breakdown {
 			b.Shift += scale(wt * d)
 			b.ShiftEvents++
 		}
-		return true
 	})
 	return b
 }
 
-func axisStrideMismatch(src, dst adg.Alignment, env map[string]int64) bool {
-	if len(src.AxisMap) != len(dst.AxisMap) {
+// edgeEval enumerates an edge's iteration space the way
+// adg.IterSpace.Each does, but keeps the environment in a slice: one
+// slot per distinct loop-variable name, 0 while that variable is unset
+// (Each deletes a level's variable once its loop ends, and Eval reads a
+// missing variable as 0). The cost terms are compiled against the
+// slots, so evaluating them reads no map. Every value is computed with
+// the same int64 operations Eval performs.
+type edgeEval struct {
+	names        []string // slot → loop-variable name
+	slotOf       []int    // level → slot
+	lo, hi, step []linForm
+	weight       polyForm
+}
+
+// slot returns the slot of name, adding one if it has none.
+func (ev *edgeEval) slot(name string) int {
+	if s := ev.lookup(name); s >= 0 {
+		return s
+	}
+	ev.names = append(ev.names, name)
+	return len(ev.names) - 1
+}
+
+// lookup returns the slot of name, or -1 for a variable that is no
+// loop variable (which Eval would read as 0).
+func (ev *edgeEval) lookup(name string) int {
+	for s, n := range ev.names {
+		if n == name {
+			return s
+		}
+	}
+	return -1
+}
+
+// linForm is an affine form compiled against the slots: c + Σ
+// coefs[k]·x[slots[k]].
+type linForm struct {
+	c     int64
+	slots []int
+	coefs []int64
+}
+
+func (f *linForm) eval(x []int64) int64 {
+	v := f.c
+	for k, s := range f.slots {
+		v += f.coefs[k] * x[s]
+	}
+	return v
+}
+
+// affine compiles a; a term in a variable with no slot contributes 0.
+func (ev *edgeEval) affine(a expr.Affine) linForm {
+	f := linForm{c: a.ConstPart()}
+	a.EachTerm(func(t expr.Term) bool {
+		if s := ev.lookup(t.Var); s >= 0 {
+			f.slots = append(f.slots, s)
+			f.coefs = append(f.coefs, t.Coef)
+		}
 		return true
+	})
+	return f
+}
+
+func (ev *edgeEval) affines(as []expr.Affine) []linForm {
+	fs := make([]linForm, len(as))
+	for k, a := range as {
+		fs[k] = ev.affine(a)
 	}
-	for d := range src.AxisMap {
-		if src.AxisMap[d] != dst.AxisMap[d] {
-			return true
+	return fs
+}
+
+// polyForm is a polynomial compiled against the slots: per monomial a
+// coefficient and the slot of each factor, repeated by its exponent.
+type polyForm struct {
+	coefs   []int64
+	factors [][]int
+}
+
+func (f *polyForm) eval(x []int64) int64 {
+	total := int64(0)
+	for m, c := range f.coefs {
+		v := c
+		for _, s := range f.factors[m] {
+			v *= x[s]
 		}
-		if src.Stride[d].Eval(env) != dst.Stride[d].Eval(env) {
-			return true
-		}
+		total += v
 	}
-	return false
+	return total
+}
+
+// poly compiles p; a monomial with a factor in a variable that has no
+// slot evaluates to 0 and is dropped.
+func (ev *edgeEval) poly(p expr.Poly) polyForm {
+	var f polyForm
+next:
+	for _, m := range p.Monomials() {
+		var fac []int
+		for _, pw := range m.Pows {
+			s := ev.lookup(pw.Var)
+			if s < 0 {
+				continue next
+			}
+			for e := 0; e < pw.Exp; e++ {
+				fac = append(fac, s)
+			}
+		}
+		f.coefs = append(f.coefs, m.Coef)
+		f.factors = append(f.factors, fac)
+	}
+	return f
+}
+
+// each calls visit at every point of the space from level k on, with x
+// holding the point.
+func (ev *edgeEval) each(x []int64, k int, visit func()) {
+	if k == len(ev.slotOf) {
+		visit()
+		return
+	}
+	t := space.NewTriplet(ev.lo[k].eval(x), ev.hi[k].eval(x), ev.step[k].eval(x))
+	n := t.Count()
+	s := ev.slotOf[k]
+	for j := int64(0); j < n; j++ {
+		x[s] = t.At(j)
+		ev.each(x, k+1, visit)
+	}
+	x[s] = 0
 }
 
 // Report renders a per-edge cost table for the costliest edges.

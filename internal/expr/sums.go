@@ -12,8 +12,17 @@ import (
 // the paper's cost model (affine weight × affine span) requires.
 const maxPowerSum = 6
 
+// powerSumBound[m] is the largest n for which powerSum64 computes
+// S_m(n): the largest n at which the closed form's numerator (the
+// product it divides at the end) fits in int64, capped at 1<<16 so a
+// test can check every n up to each bound against the big-integer
+// path. S_0(n) = n needs no bound.
+var powerSumBound = [maxPowerSum + 1]int64{0, 1 << 16, 1 << 16, 55109, 4339, 1290, 396}
+
 // PowerSum returns S_m(n) = Σ_{j=0}^{n-1} j^m exactly. It panics if
-// m > maxPowerSum or the result overflows int64.
+// m > maxPowerSum or the result overflows int64. Up to powerSumBound[m]
+// it computes in int64 (no intermediate can overflow there); beyond, in
+// math/big.
 func PowerSum(m int, n int64) int64 {
 	if m < 0 || m > maxPowerSum {
 		panic(fmt.Sprintf("expr: PowerSum exponent %d out of range", m))
@@ -21,12 +30,39 @@ func PowerSum(m int, n int64) int64 {
 	if n <= 0 {
 		return 0
 	}
+	if m == 0 || n <= powerSumBound[m] {
+		return powerSum64(m, n)
+	}
 	N := big.NewInt(n)
 	r := powerSumBig(m, N)
 	if !r.IsInt64() {
 		panic(fmt.Sprintf("expr: PowerSum(%d, %d) overflows int64", m, n))
 	}
 	return r.Int64()
+}
+
+// powerSum64 is powerSumBig's closed forms in int64, for 1 ≤ n ≤
+// powerSumBound[m]: every partial product is at most the numerator, so
+// nothing overflows, and each division is exact.
+func powerSum64(m int, n int64) int64 {
+	nm1 := n - 1
+	switch m {
+	case 0:
+		return n
+	case 1:
+		return n * nm1 / 2
+	case 2:
+		return n * nm1 * (2*n - 1) / 6
+	case 3:
+		return n * n * nm1 * nm1 / 4
+	case 4:
+		return n * nm1 * (2*n - 1) * (3*n*n - 3*n - 1) / 30
+	case 5:
+		return n * n * nm1 * nm1 * (2*n*n - 2*n - 1) / 12
+	case 6:
+		return n * nm1 * (2*n - 1) * (((3*n-6)*n*n+3)*n + 1) / 42
+	}
+	panic("unreachable")
 }
 
 // powerSumBig computes Σ_{j=0}^{n-1} j^m with Faulhaber closed forms.
@@ -139,6 +175,129 @@ func SumOverSpace(p Poly, names []string, s space.Space) Poly {
 		q = SumOverTriplet(q, names[k], s.Dim(k))
 	}
 	return q
+}
+
+// maxBoxRank is the largest iteration-space rank SumMoments handles;
+// deeper nests go through SumOverSpace.
+const maxBoxRank = 8
+
+// binom[e][r] is the binomial coefficient C(e, r) for e ≤ maxPowerSum.
+var binom = func() (c [maxPowerSum + 1][maxPowerSum + 1]int64) {
+	for e := range c {
+		c[e][0] = 1
+		for r := 1; r <= e; r++ {
+			c[e][r] = c[e-1][r-1] + c[e-1][r]
+		}
+	}
+	return c
+}()
+
+// SumMoments returns the moments of p over the box s: M0 = Σ_{i∈s} p(i)
+// and, for every level k, mv[k] = Σ_{i∈s} p(i)·i_k, where names[k]
+// names level k's variable (mv must have length s.Rank()). A box sum
+// factors per monomial into per-level power sums
+// Σ_{j<n} (lo + step·j)^e = Σ_r C(e,r)·lo^(e−r)·step^r·S_r(n), so no
+// polynomial is built. The arithmetic is int64 ring arithmetic on exact
+// power sums, the same ring SumOverSpace computes in, so the results
+// equal its (wrapping) results bit for bit.
+//
+// ok is false, and mv is left unspecified, when p mentions a variable
+// outside names or names repeats one, a level needs an exponent above
+// maxPowerSum or a count above that exponent's int64 power-sum bound,
+// or the rank exceeds maxBoxRank: SumOverSpace (with its big-integer
+// path and overflow panic) answers those.
+func SumMoments(p Poly, names []string, s space.Space, mv []int64) (m0 int64, ok bool) {
+	rank := s.Rank()
+	if len(names) != rank || len(mv) != rank || rank > maxBoxRank {
+		return 0, false
+	}
+	for k, n := range names {
+		if indexOf(names[:k], n) >= 0 {
+			return 0, false // a repeated name: SumOverSpace sums it innermost
+		}
+	}
+	// deg[k] is the degree of p in names[k]; the first moment of level
+	// k needs one more.
+	var deg [maxBoxRank]int
+	for _, m := range p.monos {
+		for _, pw := range m.Pows {
+			k := indexOf(names, pw.Var)
+			if k < 0 {
+				return 0, false
+			}
+			if pw.Exp > deg[k] {
+				deg[k] = pw.Exp
+			}
+		}
+	}
+	// sums[k][e] = Σ_{i∈dim k} i^e for e ≤ deg[k]+1.
+	var sums [maxBoxRank][maxPowerSum + 1]int64
+	for k := 0; k < rank; k++ {
+		t := s.Dim(k)
+		top := deg[k] + 1
+		n := t.Count()
+		if top > maxPowerSum || n > powerSumBound[top] {
+			return 0, false
+		}
+		var ps [maxPowerSum + 1]int64
+		for r := 0; r <= top; r++ {
+			ps[r] = PowerSum(r, n)
+		}
+		for e := 0; e <= top; e++ {
+			// Σ_{j<n} (lo + step·j)^e = Σ_r C(e,r)·lo^(e−r)·step^r·S_r(n).
+			// powerSumBound falls with the exponent, so every S_r(n)
+			// here takes PowerSum's int64 path.
+			var v int64
+			stepPow := int64(1)
+			for r := 0; r <= e; r++ {
+				loPow := int64(1)
+				for q := 0; q < e-r; q++ {
+					loPow *= t.Lo
+				}
+				v += binom[e][r] * loPow * stepPow * ps[r]
+				stepPow *= t.Step
+			}
+			sums[k][e] = v
+		}
+	}
+	for k := range mv {
+		mv[k] = 0
+	}
+	var exp [maxBoxRank]int
+	for _, m := range p.monos {
+		for k := 0; k < rank; k++ {
+			exp[k] = 0
+		}
+		for _, pw := range m.Pows {
+			exp[indexOf(names, pw.Var)] = pw.Exp
+		}
+		term := m.Coef
+		for k := 0; k < rank; k++ {
+			term *= sums[k][exp[k]]
+		}
+		m0 += term
+		for v := 0; v < rank; v++ {
+			t := m.Coef
+			for k := 0; k < rank; k++ {
+				e := exp[k]
+				if k == v {
+					e++
+				}
+				t *= sums[k][e]
+			}
+			mv[v] += t
+		}
+	}
+	return m0, true
+}
+
+func indexOf(names []string, v string) int {
+	for k, n := range names {
+		if n == v {
+			return k
+		}
+	}
+	return -1
 }
 
 // SumAbsAffineOverTriplet computes Σ_{i∈t} w(i)·|a(i)| exactly, where w

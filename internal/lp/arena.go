@@ -182,15 +182,10 @@ func (p *Problem) KeepBasis() { p.keep = true }
 
 // warmState is the retained end-of-solve tableau of a KeepBasis problem.
 type warmState struct {
-	cols                    []colref
-	a                       [][]float64
-	b, b2                   []float64
-	basis                   []int
-	artUsed                 []bool
-	nz                      []int // pivot's column scratch
-	nStruct, artIdx, nTotal int
-	nVars, nCons            int // structure fingerprint at solve time
-	cost                    []float64
+	tableau
+	nz           []int // pivot's column scratch
+	nVars, nCons int   // structure fingerprint at solve time
+	cost         []float64
 }
 
 // WarmSolve re-optimizes from the basis retained by the previous Solve.
@@ -206,28 +201,17 @@ func (p *Problem) WarmSolve() (*Solution, error) {
 		return p.Solve()
 	}
 	if ws.cost == nil {
-		ws.cost = make([]float64, ws.nTotal)
+		ws.cost = make([]float64, ws.nTotal())
 	}
-	cost := ws.cost
-	for j := range cost {
-		cost[j] = 0
-	}
-	for j := 0; j < ws.nStruct; j++ {
-		cost[j] = p.costs[ws.cols[j].orig] * ws.cols[j].sign
-	}
-	for j := ws.artIdx; j < ws.nTotal; j++ {
-		if ws.artUsed[j] {
-			cost[j] = inf
-		}
-	}
-	maxIter, ctx := p.budget(len(ws.a), ws.nTotal)
+	phase2Cost(ws.cost, p.costs, &ws.tableau)
+	maxIter, ctx := p.budget(len(ws.a), ws.nTotal())
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrCanceled, err)
 		}
 	}
 	t0 := now()
-	_, piv, err := simplex(ws.a, ws.b, ws.b2, ws.basis, cost, ws.artIdx, maxIter, ctx, ws.nz)
+	_, piv, err := simplex(ws.a, ws.b, ws.b2, ws.basis, ws.cost, ws.artIdx, maxIter, ctx, ws.nz)
 	if p.stats != nil {
 		p.stats.WarmSolves++
 		p.stats.Pivots += piv
@@ -236,7 +220,7 @@ func (p *Problem) WarmSolve() (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.extract(ws.cols, ws.nStruct, ws.basis, ws.b2), nil
+	return p.extract(&ws.tableau), nil
 }
 
 // Indirection for time so the hot path reads naturally.

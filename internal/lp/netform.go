@@ -76,10 +76,11 @@ func (p *Problem) NetworkForm() (*NetForm, bool) {
 	pinned := make([]bool, nv)
 	pinVal := make([]float64, nv)
 	for _, c := range p.cons {
-		if c.op != EQ || len(c.coefs) != 1 {
+		if c.op != EQ || len(c.ents) != 1 {
 			continue
 		}
-		for v, a := range c.coefs {
+		for _, e := range c.ents {
+			v, a := e.v, e.a
 			val := c.rhs / a
 			if pinned[v] && pinVal[v] != val {
 				return nil, false
@@ -98,12 +99,12 @@ func (p *Problem) NetworkForm() (*NetForm, bool) {
 		if c.op == LE {
 			return nil, false
 		}
-		if c.op == EQ && len(c.coefs) == 1 {
+		if c.op == EQ && len(c.ents) == 1 {
 			continue // pin row
 		}
 		unpinned := 0
-		for v := range c.coefs {
-			if !pinned[v] {
+		for _, e := range c.ents {
+			if !pinned[e.v] {
 				unpinned++
 			}
 		}
@@ -112,8 +113,8 @@ func (p *Problem) NetworkForm() (*NetForm, bool) {
 		}
 	}
 	// Folded view of each constraint: pinned variables removed, their
-	// contribution folded into the right-hand side. Entries are sorted
-	// by variable for deterministic classification.
+	// contribution folded into the right-hand side. Entries stay sorted
+	// by variable, as in the rows, for deterministic classification.
 	type fent struct {
 		v VarID
 		a float64
@@ -124,20 +125,13 @@ func (p *Problem) NetworkForm() (*NetForm, bool) {
 	for i := range p.cons {
 		c := &p.cons[i]
 		rhs := c.rhs
-		es := make([]fent, 0, len(c.coefs))
-		for v, a := range c.coefs {
-			if pinned[v] && !(c.op == EQ && len(c.coefs) == 1) {
-				rhs -= a * pinVal[v]
+		es := make([]fent, 0, len(c.ents))
+		for _, e := range c.ents {
+			if pinned[e.v] && !(c.op == EQ && len(c.ents) == 1) {
+				rhs -= e.a * pinVal[e.v]
 				continue
 			}
-			es = append(es, fent{v: v, a: a})
-		}
-		// Insertion sort: the prefilter bounds rows at 3 entries, where
-		// sort.Slice's reflection overhead costs more than the sort.
-		for x := 1; x < len(es); x++ {
-			for y := x; y > 0 && es[y].v < es[y-1].v; y-- {
-				es[y], es[y-1] = es[y-1], es[y]
-			}
+			es = append(es, fent{v: VarID(e.v), a: e.a})
 		}
 		fcoefs[i], frhs[i] = es, rhs
 		for _, e := range es {

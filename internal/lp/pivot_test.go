@@ -36,62 +36,14 @@ func pivotFullRow(a [][]float64, b, b2 []float64, basis []int, leave, enter int)
 	basis[leave] = enter
 }
 
-// standardTableau lays p out the way solveRaw does: free variables
-// split into two columns, a slack per inequality, an artificial basic
-// in every row, rows signed so the right-hand side is nonnegative, and
-// a perturbed copy b beside the exact b2.
+// standardTableau lays p out exactly as solveRaw does (standardForm):
+// free variables split into two columns, a slack per inequality, scaled
+// rows signed so the right-hand side is nonnegative, no stored
+// artificial columns (a row without a +1 slack has its implicit
+// artificial basic), and a perturbed copy b beside the exact b2.
 func standardTableau(p *Problem) (a [][]float64, b, b2 []float64, basis []int) {
-	col := make([]int, len(p.names))
-	n := 0
-	for v := range p.names {
-		col[v] = n
-		n++
-		if p.free[v] {
-			n++
-		}
-	}
-	slack := n
-	for _, c := range p.cons {
-		if c.op != EQ {
-			n++
-		}
-	}
-	art := n
-	m := len(p.cons)
-	n += m
-	a = make([][]float64, m)
-	b = make([]float64, m)
-	b2 = make([]float64, m)
-	basis = make([]int, m)
-	for i, c := range p.cons {
-		row := make([]float64, n)
-		for v, coef := range c.coefs {
-			row[col[v]] += coef
-			if p.free[v] {
-				row[col[v]+1] -= coef
-			}
-		}
-		switch c.op {
-		case LE:
-			row[slack] = 1
-			slack++
-		case GE:
-			row[slack] = -1
-			slack++
-		}
-		rhs := c.rhs
-		if rhs < 0 {
-			for j := range row {
-				row[j] = -row[j]
-			}
-			rhs = -rhs
-		}
-		row[art+i] = 1
-		basis[i] = art + i
-		a[i], b2[i] = row, rhs
-		b[i] = rhs + 1e-7*float64(i+1)/float64(m+1)
-	}
-	return a, b, b2, basis
+	t := p.standardForm(&Arena{})
+	return t.a, t.b, t.b2, t.basis
 }
 
 func cloneTableau(a [][]float64, b, b2 []float64, basis []int) ([][]float64, []float64, []float64, []int) {

@@ -73,22 +73,6 @@ type Reduction struct {
 	Fixed, Contracted int
 }
 
-type redEnt struct {
-	v int
-	a float64
-}
-
-// insertionSortEnts orders entries by variable. RLP rows hold a
-// handful of entries, where sort.Slice's reflection overhead dwarfs
-// the sort itself.
-func insertionSortEnts(es []redEnt) {
-	for x := 1; x < len(es); x++ {
-		for y := x; y > 0 && es[y].v < es[y-1].v; y-- {
-			es[y], es[y-1] = es[y-1], es[y]
-		}
-	}
-}
-
 // find returns the class representative of v and v's offset from it
 // (x_v = x_root + off), compressing the path as it goes.
 func (r *Reduction) find(v int) (int, float64) {
@@ -149,36 +133,32 @@ func (p *Problem) Reduce() (*Reduction, bool) {
 	// Snapshot every row with entries sorted by variable (constraint
 	// maps have randomized iteration order; the reduction must not).
 	type row struct {
-		entries []redEnt
+		entries []ent
 		op      Op
 		rhs     float64
 		live    bool // still pending (EQ) or surviving (any op)
 	}
 	rows := make([]row, len(p.cons))
-	var entbuf []redEnt
+	var entbuf []ent
 	nnz := 0
 	for i := range p.cons {
-		nnz += len(p.cons[i].coefs)
+		nnz += len(p.cons[i].ents)
 	}
 	// One flat snapshot buffer for every row's entries: the exact
 	// capacity means appends never reallocate, so the per-row
 	// subslices stay valid.
-	flat := make([]redEnt, 0, nnz)
+	flat := make([]ent, 0, nnz)
 	for i := range p.cons {
 		c := &p.cons[i]
 		start := len(flat)
-		for v, a := range c.coefs {
-			flat = append(flat, redEnt{v: int(v), a: a})
-		}
-		es := flat[start:]
-		insertionSortEnts(es)
-		rows[i] = row{entries: es, op: c.op, rhs: c.rhs, live: true}
+		flat = append(flat, c.ents...)
+		rows[i] = row{entries: flat[start:], op: c.op, rhs: c.rhs, live: true}
 	}
 
 	// fold rewrites a row over current representatives: ground-class
 	// variables move to the right-hand side, merged variables combine.
 	// The result reuses entbuf (valid until the next fold).
-	fold := func(ro *row) ([]redEnt, float64) {
+	fold := func(ro *row) ([]ent, float64) {
 		gRoot, gO := r.find(ground)
 		entbuf = entbuf[:0]
 		rhs := ro.rhs
@@ -190,9 +170,9 @@ func (p *Problem) Reduce() (*Reduction, bool) {
 				continue
 			}
 			rhs -= e.a * o
-			entbuf = append(entbuf, redEnt{v: root, a: e.a})
+			entbuf = append(entbuf, ent{v: root, a: e.a})
 		}
-		insertionSortEnts(entbuf)
+		sortEnts(entbuf)
 		// Combine duplicates (two class members in one row).
 		out := entbuf[:0]
 		for _, e := range entbuf {
@@ -262,7 +242,7 @@ func (p *Problem) Reduce() (*Reduction, bool) {
 
 	// Rewrite the survivors over final representatives.
 	type finalRow struct {
-		entries []redEnt
+		entries []ent
 		op      Op
 		rhs     float64
 	}
@@ -270,7 +250,7 @@ func (p *Problem) Reduce() (*Reduction, bool) {
 	// Folded survivors are never wider than their source rows, so one
 	// flat buffer with the snapshot's capacity holds every final row's
 	// entries without reallocating.
-	finBuf := make([]redEnt, 0, nnz)
+	finBuf := make([]ent, 0, nnz)
 	occ := make([]int32, n) // representative occurrence count
 	for i := range rows {
 		ro := &rows[i]
@@ -420,11 +400,13 @@ func (p *Problem) Reduce() (*Reduction, bool) {
 		fr := &finals[fi]
 		bi := r.blockOf[fr.entries[0].v]
 		blk := &r.Blocks[bi]
-		m := make(map[VarID]float64, len(fr.entries))
-		for _, e := range fr.entries {
-			m[VarID(r.colOf[e.v])] = e.a
+		// colOf numbers a block's variables in ascending order, so the
+		// renumbered entries stay sorted.
+		es := make([]ent, len(fr.entries))
+		for k, e := range fr.entries {
+			es[k] = ent{v: int(r.colOf[e.v]), a: e.a}
 		}
-		blk.Prob.cons = append(blk.Prob.cons, constraint{coefs: m, op: fr.op, rhs: fr.rhs})
+		blk.Prob.cons = append(blk.Prob.cons, constraint{ents: es, op: fr.op, rhs: fr.rhs})
 	}
 	r.gr, r.gOff = r.find(ground)
 	if p.stats != nil {

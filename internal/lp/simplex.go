@@ -1,9 +1,20 @@
 // Package lp is a self-contained linear-programming solver: a dense
-// two-phase primal simplex with Bland's anti-cycling rule. The paper's
-// offset-alignment phase reduces to "rounded linear programming" (§4.1):
-// minimize Σ w_xy·θ_xy subject to θ_xy ≥ |π_x − π_y| (two inequalities
-// per edge) and the linear node constraints; these problems are small
-// (O(|E|) variables), so an exact dense simplex is the right tool.
+// two-phase primal simplex with Bland's anti-cycling rule, a sparse
+// revised simplex for large sparse problems (sparse.go), and the Reduce
+// presolver. The paper's offset-alignment phase reduces to "rounded
+// linear programming" (§4.1): minimize Σ w_xy·θ_xy subject to
+// θ_xy ≥ |π_x − π_y| (two inequalities per edge) and the linear node
+// constraints; these problems are small (O(|E|) variables), so an exact
+// dense simplex is the right tool.
+//
+// Rows are stored as coefficient lists sorted by variable. The dense
+// tableau holds only the structural and slack columns: every row starts
+// with a slack of coefficient +1 or its own artificial basic, and the
+// artificials are implicit unit columns that are never stored, updated
+// or priced. Phase 1 prices the stored columns only, so an artificial
+// retires for good once it leaves the basis (the textbook rule); one
+// that cannot be driven out of a redundant row stays basic at level 0
+// through phase 2 and warm re-solves.
 package lp
 
 import (
@@ -11,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 )
 
 // Op is a constraint comparison operator.
@@ -112,9 +124,39 @@ const iterCheckStride = 64
 var inf = math.Inf(1)
 
 type constraint struct {
-	coefs map[VarID]float64
-	op    Op
-	rhs   float64
+	ents []ent // ascending by variable
+	op   Op
+	rhs  float64
+}
+
+// ent is one coefficient a·x_v of a row.
+type ent struct {
+	v int
+	a float64
+}
+
+// coef returns the row's coefficient of variable v (0 if absent).
+func (c *constraint) coef(v int) float64 {
+	for _, e := range c.ents {
+		if e.v == v {
+			return e.a
+		}
+	}
+	return 0
+}
+
+// sortEnts orders entries by variable. Rows hold a handful of entries,
+// where insertion sort beats sort.Slice's reflection overhead.
+func sortEnts(es []ent) {
+	if len(es) > 16 {
+		sort.Slice(es, func(x, y int) bool { return es[x].v < es[y].v })
+		return
+	}
+	for x := 1; x < len(es); x++ {
+		for y := x; y > 0 && es[y].v < es[y-1].v; y-- {
+			es[y], es[y-1] = es[y-1], es[y]
+		}
+	}
 }
 
 // ErrInfeasible is returned when no assignment satisfies the constraints.
@@ -159,8 +201,8 @@ func (p *Problem) Residual(vals []float64) float64 {
 	worst := 0.0
 	for _, c := range p.cons {
 		lhs := 0.0
-		for v, a := range c.coefs {
-			lhs += a * vals[v]
+		for _, e := range c.ents {
+			lhs += e.a * vals[e.v]
 		}
 		viol := 0.0
 		switch c.op {
@@ -185,16 +227,17 @@ func (p *Problem) Residual(vals []float64) float64 {
 
 // AddConstraint adds Σ coefs[v]·x_v (op) rhs. Coefficient maps are copied.
 func (p *Problem) AddConstraint(coefs map[VarID]float64, op Op, rhs float64) {
-	cp := make(map[VarID]float64, len(coefs))
+	es := make([]ent, 0, len(coefs))
 	for v, c := range coefs {
 		if int(v) < 0 || int(v) >= len(p.names) {
 			panic(fmt.Sprintf("lp: constraint references unknown variable %d", v))
 		}
 		if c != 0 {
-			cp[v] = c
+			es = append(es, ent{v: int(v), a: c})
 		}
 	}
-	p.cons = append(p.cons, constraint{coefs: cp, op: op, rhs: rhs})
+	sortEnts(es)
+	p.cons = append(p.cons, constraint{ents: es, op: op, rhs: rhs})
 }
 
 // Solution holds an optimal solution of a Problem.
@@ -252,22 +295,30 @@ type colref struct {
 	sign float64
 }
 
-// solveRaw runs the two-phase simplex without presolve, dispatching to
-// the sparse revised core (sparse.go) for large low-density problems.
-func (p *Problem) solveRaw() (*Solution, error) {
-	if p.chooseSparse() {
-		return p.solveSparse()
-	}
-	p.sws = nil // this solve's retained basis (if any) is dense
-	// Standard form: free variables are split x = x⁺ − x⁻ with both parts
-	// nonnegative; constraints become equalities via slack/surplus; rows
-	// are normalized so every RHS is nonnegative; phase 1 minimizes the
-	// sum of artificial variables.
-	ar := p.arena
-	if ar == nil {
-		ar = &Arena{}
-	}
-	ar.reset()
+// tableau is a problem's dense standard form. Free variables are split
+// x = x⁺ − x⁻ across two columns, each inequality gets a slack or
+// surplus column, and rows are scaled by their largest structural
+// coefficient and signed so every right-hand side is nonnegative. The
+// rows store only those nStruct+nSlack = artIdx columns: row i's
+// artificial is implicit, and basis entry artIdx+i means "row i's
+// artificial is basic", a unit column that is never stored, updated or
+// priced, so an artificial that leaves the basis is retired for good.
+type tableau struct {
+	cols            []colref // structural column → variable
+	a               [][]float64
+	b, b2           []float64 // perturbed and exact right-hand sides
+	basis           []int
+	nStruct, artIdx int
+}
+
+// nTotal counts every column, one artificial per row included: the
+// width the iteration budget and the cost vectors are sized by.
+func (t *tableau) nTotal() int { return t.artIdx + len(t.a) }
+
+// standardForm lays p out as a tableau carved from ar, with a slack of
+// coefficient +1 basic in its row where there is one and the row's
+// artificial basic otherwise.
+func (p *Problem) standardForm(ar *Arena) tableau {
 	var cols []colref
 	colOf := ar.ints(len(p.names))    // first column of variable
 	negColOf := ar.ints(len(p.names)) // second column for free vars
@@ -283,33 +334,27 @@ func (p *Problem) solveRaw() (*Solution, error) {
 	}
 	nStruct := len(cols)
 	m := len(p.cons)
-
-	// Count slack columns.
 	nSlack := 0
 	for _, c := range p.cons {
 		if c.op != EQ {
 			nSlack++
 		}
 	}
-	nTotal := nStruct + nSlack + m // + artificials (one per row, some unused)
+	artIdx := nStruct + nSlack
 
-	// Build tableau rows: A | b.
 	a := make([][]float64, m)
 	b := ar.floats(m)
 	basis := ar.ints(m)
 	slackIdx := nStruct
-	artIdx := nStruct + nSlack
-	artUsed := make([]bool, nTotal)
 	for i, c := range p.cons {
-		row := ar.floats(nTotal)
-		for v, coef := range c.coefs {
-			row[colOf[v]] += coef
-			if negColOf[v] >= 0 {
-				row[negColOf[v]] -= coef
+		row := ar.floats(artIdx)
+		for _, e := range c.ents {
+			row[colOf[e.v]] += e.a
+			if negColOf[e.v] >= 0 {
+				row[negColOf[e.v]] -= e.a
 			}
 		}
 		rhs := c.rhs
-		op := c.op
 		// Row scaling: normalize by the largest structural coefficient so
 		// rows with very different magnitudes (data weights vs. unit
 		// constraints) condition the tableau evenly.
@@ -327,10 +372,10 @@ func (p *Problem) solveRaw() (*Solution, error) {
 			rhs *= inv
 		}
 		var slackCol = -1
-		if op != EQ {
+		if c.op != EQ {
 			slackCol = slackIdx
 			slackIdx++
-			if op == LE {
+			if c.op == LE {
 				row[slackCol] = 1
 			} else {
 				row[slackCol] = -1
@@ -343,15 +388,10 @@ func (p *Problem) solveRaw() (*Solution, error) {
 			}
 			rhs = -rhs
 		}
-		// Choose a basic column: a slack with +1 coefficient if available,
-		// otherwise an artificial.
 		if slackCol >= 0 && row[slackCol] == 1 {
 			basis[i] = slackCol
 		} else {
-			ac := artIdx + i
-			row[ac] = 1
-			basis[i] = ac
-			artUsed[ac] = true
+			basis[i] = artIdx + i
 		}
 		a[i] = row
 		b[i] = rhs
@@ -366,17 +406,39 @@ func (p *Problem) solveRaw() (*Solution, error) {
 	for i := range b {
 		b[i] += 1e-7 * float64(i+1) / float64(m+1)
 	}
+	return tableau{cols: cols, a: a, b: b, b2: b2, basis: basis, nStruct: nStruct, artIdx: artIdx}
+}
+
+// solveRaw runs the two-phase simplex without presolve, dispatching to
+// the sparse revised core (sparse.go) for large low-density problems.
+// Phase 1 minimizes the sum of the basic artificials.
+func (p *Problem) solveRaw() (*Solution, error) {
+	if p.chooseSparse() {
+		return p.solveSparse()
+	}
+	p.sws = nil // this solve's retained basis (if any) is dense
+	ar := p.arena
+	if ar == nil {
+		ar = &Arena{}
+	}
+	ar.reset()
+	t := p.standardForm(ar)
+	a, b, b2, basis, artIdx := t.a, t.b, t.b2, t.basis, t.artIdx
+	m, nTotal := len(a), t.nTotal()
 
 	// nz holds the nonzero columns of each pivot row (see pivot); one
 	// carve serves phase 1, the drive-out, phase 2, and warm re-solves.
-	nz := ar.ints(nTotal)
+	nz := ar.ints(artIdx)
 
-	// Phase 1: minimize sum of artificials.
+	// Phase 1: minimize the sum of the basic artificials. Only the
+	// costs of artificials are read (by reprice, for basic ones), and
+	// phase 1 prices columns below artIdx only, so an artificial that
+	// leaves never re-enters.
 	phase1Cost := ar.floats(nTotal)
 	anyArt := false
-	for j := artIdx; j < nTotal; j++ {
-		if artUsed[j] {
-			phase1Cost[j] = 1
+	for _, bj := range basis {
+		if bj >= artIdx {
+			phase1Cost[bj] = 1
 			anyArt = true
 		}
 	}
@@ -391,7 +453,7 @@ func (p *Problem) solveRaw() (*Solution, error) {
 	}
 	if anyArt {
 		t0 := now()
-		_, piv, err := simplex(a, b, b2, basis, phase1Cost, nTotal, maxIter, ctx, nz)
+		_, piv, err := simplex(a, b, b2, basis, phase1Cost, artIdx, maxIter, ctx, nz)
 		if p.stats != nil {
 			p.stats.Pivots += piv
 			p.stats.Phase1 += since(t0)
@@ -404,7 +466,7 @@ func (p *Problem) solveRaw() (*Solution, error) {
 		// feasible bases.
 		resid := 0.0
 		for i, bj := range basis {
-			if bj >= artIdx && artUsed[bj] {
+			if bj >= artIdx {
 				resid += math.Abs(b2[i])
 			}
 		}
@@ -438,16 +500,10 @@ func (p *Problem) solveRaw() (*Solution, error) {
 		}
 	}
 
-	// Phase 2: original costs, artificials forbidden.
+	// Phase 2: original costs; a basic artificial costs +Inf, which
+	// reprice reads as "stuck at level 0".
 	cost := ar.floats(nTotal)
-	for j := 0; j < nStruct; j++ {
-		cost[j] = p.costs[cols[j].orig] * cols[j].sign
-	}
-	for j := artIdx; j < nTotal; j++ {
-		if artUsed[j] {
-			cost[j] = inf // never re-enter
-		}
-	}
+	phase2Cost(cost, p.costs, &t)
 	t0 := now()
 	_, piv, err := simplex(a, b, b2, basis, cost, artIdx, maxIter, ctx, nz)
 	if p.stats != nil {
@@ -462,29 +518,42 @@ func (p *Problem) solveRaw() (*Solution, error) {
 	// constraint was silently abandoned and the "solution" is garbage.
 	// Fail honestly instead — callers treat it like a stuck solve.
 	for i, bj := range basis {
-		if bj >= artIdx && artUsed[bj] && math.Abs(b2[i]) > 1e-6 {
+		if bj >= artIdx && math.Abs(b2[i]) > 1e-6 {
 			return nil, fmt.Errorf("%w: artificial lifted to %g (m=%d)", ErrBudget, b2[i], m)
 		}
 	}
 
 	if p.keep {
-		p.ws = &warmState{
-			cols: cols, a: a, b: b, b2: b2, basis: basis,
-			artUsed: artUsed, nz: nz, nStruct: nStruct, artIdx: artIdx, nTotal: nTotal,
-			nVars: len(p.names), nCons: len(p.cons),
-		}
+		p.ws = &warmState{tableau: t, nz: nz, nVars: len(p.names), nCons: len(p.cons)}
 	}
-	return p.extract(cols, nStruct, basis, b2), nil
+	return p.extract(&t), nil
 }
 
-// extract reads the solution of the original variables off the final
+// phase2Cost fills cost (length nTotal) with the phase-2 objective of
+// t's columns: each structural column's signed variable cost, 0 for
+// slacks, and +Inf for every artificial (only a basic one is ever
+// read: reprice prices it as stuck at level 0).
+func phase2Cost(cost, varCosts []float64, t *tableau) {
+	for j := range cost {
+		switch {
+		case j < t.nStruct:
+			cost[j] = varCosts[t.cols[j].orig] * t.cols[j].sign
+		case j < t.artIdx:
+			cost[j] = 0
+		default:
+			cost[j] = inf
+		}
+	}
+}
+
+// extract reads the solution of the original variables off t's final
 // basis and unperturbed RHS. The returned slices are freshly allocated
 // (never arena storage), so solutions outlive later solves.
-func (p *Problem) extract(cols []colref, nStruct int, basis []int, b2 []float64) *Solution {
+func (p *Problem) extract(t *tableau) *Solution {
 	values := make([]float64, len(p.names))
-	for i, bj := range basis {
-		if bj < nStruct {
-			values[cols[bj].orig] += cols[bj].sign * b2[i]
+	for i, bj := range t.basis {
+		if bj < t.nStruct {
+			values[t.cols[bj].orig] += t.cols[bj].sign * t.b2[i]
 		}
 	}
 	obj := 0.0
@@ -505,19 +574,19 @@ func (p *Problem) budget(m, n int) (int64, context.Context) {
 }
 
 // simplex runs the primal simplex on the tableau (a|b) with the given
-// basis, minimizing costᵀx. Only columns < limit may enter the basis.
-// b2 is the unperturbed RHS, carried through the same pivots. It returns
-// the optimal objective value (w.r.t. the perturbed RHS) and the number
-// of pivots performed. maxIter bounds the iterations (ErrBudget beyond);
-// ctx, when non-nil, is polled every iterCheckStride iterations and
-// aborts with ErrCanceled wrapping ctx.Err(). nz is pivot's column
-// scratch, with capacity for a full tableau row.
-func simplex(a [][]float64, b, b2 []float64, basis []int, cost []float64, limit int, maxIter int64, ctx context.Context, nz []int) (float64, int64, error) {
+// basis, minimizing costᵀx. The tableau has n columns and every one of
+// them may enter; a basis entry ≥ n is an implicit artificial (a unit
+// column not stored), whose cost reprice reads from cost[basis[i]], so
+// cost must cover every basis entry. b2 is the unperturbed RHS, carried
+// through the same pivots. It returns the optimal objective value
+// (w.r.t. the perturbed RHS) and the number of pivots performed. With
+// no rows the reduced costs are the costs, so a column of negative cost
+// is reported unbounded. maxIter bounds the iterations (ErrBudget
+// beyond); ctx, when non-nil, is polled every iterCheckStride
+// iterations and aborts with ErrCanceled wrapping ctx.Err(). nz is
+// pivot's column scratch, with capacity for a full tableau row.
+func simplex(a [][]float64, b, b2 []float64, basis []int, cost []float64, n int, maxIter int64, ctx context.Context, nz []int) (float64, int64, error) {
 	m := len(a)
-	if m == 0 {
-		return 0, 0, nil
-	}
-	n := len(a[0])
 	var pivots int64
 	// Reduced costs require the basis columns to be identity; maintain by
 	// pivoting, and reprice from scratch periodically to purge the
@@ -528,14 +597,10 @@ func simplex(a [][]float64, b, b2 []float64, basis []int, cost []float64, limit 
 		copy(z, cost[:n])
 		zb = 0
 		for i, bj := range basis {
-			cb := z[bj]
-			if math.IsInf(cb, 1) {
-				// An artificial stuck in the basis at value 0: treat its
-				// cost as 0 for pricing (it remains at level 0).
-				z[bj] = 0
-				continue
-			}
-			if cb == 0 {
+			cb := cost[bj]
+			if cb == 0 || math.IsInf(cb, 1) {
+				// +Inf is an artificial stuck in the basis at value 0:
+				// price it as 0 (it remains at level 0).
 				continue
 			}
 			for j := 0; j < n; j++ {
@@ -545,7 +610,9 @@ func simplex(a [][]float64, b, b2 []float64, basis []int, cost []float64, limit 
 		}
 		// Basis columns must price to exactly zero.
 		for _, bj := range basis {
-			z[bj] = 0
+			if bj < n {
+				z[bj] = 0
+			}
 		}
 	}
 	reprice()
@@ -578,7 +645,7 @@ func simplex(a [][]float64, b, b2 []float64, basis []int, cost []float64, limit 
 		// Bland's rule: entering column = lowest index with negative
 		// reduced cost (excluding columns proven rays of ~zero cost).
 		enter := -1
-		for j := 0; j < limit; j++ {
+		for j := 0; j < n; j++ {
 			if skip[j] || math.IsInf(cost[j], 1) {
 				continue
 			}
@@ -726,10 +793,8 @@ func (p *Problem) Dump() string {
 	}
 	add("\n")
 	for _, c := range p.cons {
-		for v := 0; v < len(p.names); v++ {
-			if co, ok := c.coefs[VarID(v)]; ok {
-				add(fmt.Sprintf(" %+g*%s%d", co, p.names[v], v))
-			}
+		for _, e := range c.ents {
+			add(fmt.Sprintf(" %+g*%s%d", e.a, p.names[e.v], e.v))
 		}
 		add(fmt.Sprintf(" %s %g\n", c.op, c.rhs))
 	}

@@ -1,8 +1,10 @@
 package lp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -245,5 +247,153 @@ func TestRandomFeasibility(t *testing.T) {
 		if !math.IsInf(best, 1) && sol.Objective > best+1e-6 {
 			t.Errorf("trial %d: objective %v worse than grid %v", trial, sol.Objective, best)
 		}
+	}
+}
+
+// TestZeroRowSolves covers dense solves left with no rows, directly or
+// after the equality presolve eliminates every row: the reduced costs
+// are then the costs, so a free variable with nonzero cost or a
+// nonnegative one with negative cost is unbounded, and otherwise every
+// variable rests at zero.
+func TestZeroRowSolves(t *testing.T) {
+	cases := []struct {
+		name    string
+		build   func(p *Problem)
+		wantErr error
+		wantObj float64
+	}{
+		{"eliminated row, free column with cost", func(p *Problem) {
+			x0 := p.AddVariable("x0", 1, true)
+			x1 := p.AddVariable("x1", 0, true)
+			p.AddConstraint(map[VarID]float64{x1: 1, x0: -1}, EQ, 2)
+		}, ErrUnbounded, 0},
+		{"no rows, free column with cost", func(p *Problem) {
+			p.AddVariable("x", -1, true)
+		}, ErrUnbounded, 0},
+		{"no rows, nonnegative column with negative cost", func(p *Problem) {
+			p.AddVariable("x", -1, false)
+		}, ErrUnbounded, 0},
+		{"eliminated row, bounded", func(p *Problem) {
+			// x0 = x1 − 2 leaves min x1 over x1 ≥ 0: x1 = 0, x0 = −2.
+			x0 := p.AddVariable("x0", 0, true)
+			x1 := p.AddVariable("x1", 1, false)
+			p.AddConstraint(map[VarID]float64{x1: 1, x0: -1}, EQ, 2)
+		}, nil, 0},
+	}
+	for _, tc := range cases {
+		p := NewProblem()
+		tc.build(p)
+		p.SetOptions(Options{Engine: EngineDense})
+		sol, err := p.Solve()
+		if err != tc.wantErr {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.wantErr)
+			continue
+		}
+		if err == nil {
+			if !almost(sol.Objective, tc.wantObj) {
+				t.Errorf("%s: objective = %v, want %v", tc.name, sol.Objective, tc.wantObj)
+			}
+			if r := p.Residual(sol.Values()); r > 1e-9 {
+				t.Errorf("%s: residual %v", tc.name, r)
+			}
+		}
+	}
+}
+
+// redundantRowProblem is min |x−1| + c·|y−1| subject to x + y = 4 and
+// the same row again as 2x + 2y = 8. Row scaling makes the two rows
+// identical, so once phase 1 pivots one of them the other is all zero
+// and its artificial stays basic at level 0.
+func redundantRowProblem(c float64) (*Problem, VarID) {
+	p := NewProblem()
+	x := p.AddVariable("x", 0, true)
+	y := p.AddVariable("y", 0, true)
+	tx := p.AddVariable("tx", 1, false)
+	ty := p.AddVariable("ty", c, false)
+	p.AddConstraint(map[VarID]float64{x: 1, y: 1}, EQ, 4)
+	p.AddConstraint(map[VarID]float64{x: 2, y: 2}, EQ, 8)
+	p.AddConstraint(map[VarID]float64{tx: 1, x: -1}, GE, -1)
+	p.AddConstraint(map[VarID]float64{tx: 1, x: 1}, GE, 1)
+	p.AddConstraint(map[VarID]float64{ty: 1, y: -1}, GE, -1)
+	p.AddConstraint(map[VarID]float64{ty: 1, y: 1}, GE, 1)
+	return p, ty
+}
+
+// TestRedundantRowKeepsArtificial solves a problem with a redundant
+// equality row on the dense tableau (with the basis kept, so the
+// equality presolve does not remove the row): an implicit artificial
+// stays basic at level 0, the dense and sparse engines agree, and a
+// WarmSolve after SetCost matches a cold solve of the changed problem.
+func TestRedundantRowKeepsArtificial(t *testing.T) {
+	for _, eng := range []Engine{EngineDense, EngineSparse} {
+		p, ty := redundantRowProblem(2)
+		var st Stats
+		p.SetStats(&st)
+		p.SetOptions(Options{Engine: eng})
+		p.KeepBasis()
+		sol, err := p.Solve()
+		if err != nil {
+			t.Fatalf("%v: %v", eng, err)
+		}
+		// x = 3, y = 1: cost |3−1| + 2·0 = 2.
+		if !almost(sol.Objective, 2) {
+			t.Errorf("%v: objective = %v, want 2", eng, sol.Objective)
+		}
+		if eng == EngineDense {
+			stuck := 0
+			for i, bj := range p.ws.basis {
+				if bj >= p.ws.artIdx {
+					stuck++
+					if p.ws.b2[i] != 0 {
+						t.Errorf("basic artificial of row %d at level %v, want 0", i, p.ws.b2[i])
+					}
+				}
+				if w := len(p.ws.a[i]); w != p.ws.artIdx {
+					t.Errorf("row %d has %d columns, want nStruct+nSlack = %d", i, w, p.ws.artIdx)
+				}
+			}
+			if stuck != 1 {
+				t.Errorf("%d artificials basic after the solve, want 1 (the redundant row's)", stuck)
+			}
+		}
+		// x = 1, y = 3 once y's deviation costs 0.5: cost 1.
+		p.SetCost(ty, 0.5)
+		warm, err := p.WarmSolve()
+		if err != nil {
+			t.Fatalf("%v warm: %v", eng, err)
+		}
+		cold, _ := redundantRowProblem(0.5)
+		cold.SetOptions(Options{Engine: eng})
+		want := solveOrFail(t, cold)
+		if st.WarmSolves != 1 || !almost(warm.Objective, want.Objective) || !almost(want.Objective, 1) {
+			t.Errorf("%v: warm objective %v (%d warm solves), cold %v, want 1 from one warm solve",
+				eng, warm.Objective, st.WarmSolves, want.Objective)
+		}
+		if r := p.Residual(warm.Values()); r > 1e-6 {
+			t.Errorf("%v: warm residual %v", eng, r)
+		}
+	}
+}
+
+// TestLiftedArtificialFails pins the guard after phase 2. The rows
+// x + y = 1000 and x + y − δz = 1000 force z = 0, but after phase 1
+// pivots x into the first row the second row's only entry is −δ, below
+// pivTol, so its artificial stays basic. Phase 2 then enters z (cost
+// −1) through the bound z ≤ 1000, which lifts that artificial to δ·1000:
+// the solve must fail rather than return z = 1000.
+func TestLiftedArtificialFails(t *testing.T) {
+	const delta = 5e-8
+	p := NewProblem()
+	x := p.AddVariable("x", 0, false)
+	y := p.AddVariable("y", 0, false)
+	z := p.AddVariable("z", -1, false)
+	p.AddConstraint(map[VarID]float64{x: 1, y: 1}, EQ, 1000)
+	p.AddConstraint(map[VarID]float64{x: 1, y: 1, z: -delta}, EQ, 1000)
+	p.AddConstraint(map[VarID]float64{z: 1}, LE, 1000)
+	p.SetOptions(Options{Engine: EngineDense})
+	p.KeepBasis()
+	_, err := p.Solve()
+	if !errors.Is(err, ErrBudget) || !strings.Contains(err.Error(), "artificial lifted") {
+		t.Fatalf("err = %v, want the artificial-lifted ErrBudget", err)
 	}
 }

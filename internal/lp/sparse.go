@@ -69,7 +69,7 @@ func (p *Problem) chooseSparse() bool {
 	}
 	nnz := 0
 	for _, c := range p.cons {
-		nnz += len(c.coefs)
+		nnz += len(c.ents)
 	}
 	return m*(nStruct+m) >= sparseCellThreshold && nnz*4 <= m*nStruct
 }
@@ -134,8 +134,8 @@ func (p *Problem) buildSparseForm(ar *Arena) *spForm {
 	nv := len(p.names)
 	occ := growInt(&sp.occ, nv)
 	for _, c := range p.cons {
-		for v := range c.coefs {
-			occ[v]++
+		for _, e := range c.ents {
+			occ[e.v]++
 		}
 	}
 
@@ -149,22 +149,23 @@ func (p *Problem) buildSparseForm(ar *Arena) *spForm {
 		}
 		c0, c1 := &p.cons[i], &p.cons[i+1]
 		if c0.op != GE || c1.op != GE || c0.rhs != -c1.rhs ||
-			len(c0.coefs) != len(c1.coefs) {
+			len(c0.ents) != len(c1.ents) {
 			continue
 		}
-		theta := VarID(-1)
-		for v, a := range c0.coefs {
-			if a == 1 && c1.coefs[v] == 1 && occ[v] == 2 && !p.free[v] &&
-				p.costs[v] >= 0 && (theta < 0 || v < theta) {
-				theta = v
+		theta := -1
+		for _, e := range c0.ents {
+			if e.a == 1 && c1.coef(e.v) == 1 && occ[e.v] == 2 && !p.free[e.v] &&
+				p.costs[e.v] >= 0 {
+				theta = e.v // the lowest qualifying variable: entries ascend
+				break
 			}
 		}
 		if theta < 0 {
 			continue
 		}
 		ok := true
-		for v, a := range c0.coefs {
-			if v != theta && c1.coefs[v] != -a {
+		for _, e := range c0.ents {
+			if e.v != theta && c1.coef(e.v) != -e.a {
 				ok = false
 				break
 			}
@@ -174,7 +175,7 @@ func (p *Problem) buildSparseForm(ar *Arena) *spForm {
 		}
 		pairOf[i] = len(uvTheta) + 1
 		pairOf[i+1] = -1
-		uvTheta = append(uvTheta, theta)
+		uvTheta = append(uvTheta, VarID(theta))
 		merged[theta] = true
 	}
 
@@ -229,15 +230,15 @@ func (p *Problem) buildSparseForm(ar *Arena) *spForm {
 		start := len(entBuf)
 		if k := pairOf[i]; k > 0 {
 			pi := k - 1
-			theta := uvTheta[pi]
+			theta := int(uvTheta[pi])
 			// Row scaling by max(|2a|, 1) keeps the u/w coefficients
 			// bounded by 1 while conditioning heavy edge weights.
 			rowMax := 1.0
-			for v, a := range c.coefs {
-				if v == theta {
+			for _, e := range c.ents {
+				if e.v == theta {
 					continue
 				}
-				if s := math.Abs(2 * a); s > rowMax {
+				if s := math.Abs(2 * e.a); s > rowMax {
 					rowMax = s
 				}
 			}
@@ -245,14 +246,14 @@ func (p *Problem) buildSparseForm(ar *Arena) *spForm {
 			entBuf = append(entBuf,
 				spEnt{col: int32(nStruct + 2*pi), val: inv},
 				spEnt{col: int32(nStruct + 2*pi + 1), val: -inv})
-			for v, a := range c.coefs {
-				if v == theta {
+			for _, e := range c.ents {
+				if e.v == theta {
 					continue
 				}
-				cv := -2 * a * inv
-				entBuf = append(entBuf, spEnt{col: int32(colOf[v]), val: cv})
-				if negColOf[v] >= 0 {
-					entBuf = append(entBuf, spEnt{col: int32(negColOf[v]), val: -cv})
+				cv := -2 * e.a * inv
+				entBuf = append(entBuf, spEnt{col: int32(colOf[e.v]), val: cv})
+				if negColOf[e.v] >= 0 {
+					entBuf = append(entBuf, spEnt{col: int32(negColOf[e.v]), val: -cv})
 				}
 			}
 			es := entBuf[start:]
@@ -275,9 +276,9 @@ func (p *Problem) buildSparseForm(ar *Arena) *spForm {
 		// structural part by its largest coefficient, append the slack
 		// unscaled, then normalize the RHS sign.
 		rowMax := 0.0
-		for _, a := range c.coefs {
-			if math.Abs(a) > rowMax {
-				rowMax = math.Abs(a)
+		for _, e := range c.ents {
+			if math.Abs(e.a) > rowMax {
+				rowMax = math.Abs(e.a)
 			}
 		}
 		inv := 1.0
@@ -285,11 +286,11 @@ func (p *Problem) buildSparseForm(ar *Arena) *spForm {
 			inv = 1 / rowMax
 		}
 		rhs := c.rhs * inv
-		for v, a := range c.coefs {
-			cv := a * inv
-			entBuf = append(entBuf, spEnt{col: int32(colOf[v]), val: cv})
-			if negColOf[v] >= 0 {
-				entBuf = append(entBuf, spEnt{col: int32(negColOf[v]), val: -cv})
+		for _, e := range c.ents {
+			cv := e.a * inv
+			entBuf = append(entBuf, spEnt{col: int32(colOf[e.v]), val: cv})
+			if negColOf[e.v] >= 0 {
+				entBuf = append(entBuf, spEnt{col: int32(negColOf[e.v]), val: -cv})
 			}
 		}
 		slackCol := -1
@@ -322,8 +323,7 @@ func (p *Problem) buildSparseForm(ar *Arena) *spForm {
 	sp.entBuf, sp.rowOff = entBuf, rowOff
 
 	// Assemble the CSC matrix. Iterating rows in order makes each
-	// column's entries row-sorted and the layout deterministic even
-	// though per-row map iteration is not.
+	// column's entries row-sorted.
 	counts := growInt32(&sp.counts, artStart)
 	for _, e := range entBuf {
 		counts[e.col]++

@@ -46,8 +46,8 @@ func buildRandomRLP(rng *rand.Rand, nPorts, nEdges int) *Problem {
 func feasible(p *Problem, vals []float64, tol float64) (bool, int) {
 	for i, c := range p.cons {
 		lhs := 0.0
-		for v, a := range c.coefs {
-			lhs += a * vals[v]
+		for _, e := range c.ents {
+			lhs += e.a * vals[e.v]
 		}
 		switch c.op {
 		case LE:

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/cost"
 )
 
 // componentSrc emits one self-contained computation over arrays whose
@@ -177,5 +179,44 @@ func TestPartitionPropertyCompositions(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRegionCostMatchesExact checks the cost a decomposed solve
+// reports — the sum of its regions' costs, cached with each region —
+// against cost.Exact over the whole program, through a stream of
+// one-component edits against one partitioned cache, so most regions
+// are served from the cache.
+func TestRegionCostMatchesExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const k = 6
+	vs := make([]int64, k)
+	kinds := make([]int, k)
+	for i := range vs {
+		vs[i], kinds[i] = int64(rng.Intn(32)), i%4
+	}
+	opts := DefaultOptions()
+	opts.Partition = true
+	opts.Cache = NewCache(256)
+	hits, costly := 0, 0
+	for edit := 0; edit < 12; edit++ {
+		if edit > 0 {
+			vs[rng.Intn(k)] = int64(rng.Intn(32))
+		}
+		src := multiComponentSrc(k, func(i int) (int64, int) { return vs[i], kinds[i] })
+		res, err := AlignSource(src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := cost.Exact(res.Graph, res.Assignment()); res.Cost != want {
+			t.Fatalf("edit %d: reported cost %v, cost.Exact %v\nprogram:\n%s", edit, res.Cost, want, src)
+		}
+		hits += res.Align.RegionHits
+		if res.Cost.Total() > 0 {
+			costly++
+		}
+	}
+	if hits == 0 || costly == 0 {
+		t.Fatalf("stream exercised %d region hits and %d costly programs; want both > 0", hits, costly)
 	}
 }
