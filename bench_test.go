@@ -536,9 +536,10 @@ func BenchmarkOffsetsWarmStart(b *testing.B) {
 // TestColdOffsetsAllocs bounds the cold offsets phase that
 // BenchmarkOffsetsWarmStart/cold times (rank-4, no replication): every
 // solve builds each axis RLP, sums its moments and runs both simplex
-// phases from scratch. Measured ~10 400 allocs/op, down from ~33 000
-// when the moments were summed as symbolic polynomials and LP rows were
-// maps; the gate at 14 000 catches a return to symbolic moment sums.
+// phases from scratch. Measured ~6 700 allocs/op; ~10 400 with
+// map-built RLP rows and ~33 000 when the moments were also summed as
+// symbolic polynomials. The gate at 14 000 catches a return to
+// symbolic moment sums.
 func TestColdOffsetsAllocs(t *testing.T) {
 	g, as := rank4Graph(t)
 	opts := align.OffsetOptions{Strategy: align.StrategyFixed, M: 3, Parallelism: 1}
@@ -877,7 +878,7 @@ func BenchmarkOffsetSolverPresolve(b *testing.B) {
 }
 
 // TestOffsetSolverPresolveAllocs bounds one presolved §6 refinement
-// round on rank4-dp (measured ~780 allocs/op) at 3000: the round that
+// round on rank4-dp (measured ~190 allocs/op) at 3000: the round that
 // BenchmarkOffsetSolverPresolve times, alternating the two labelings
 // so every round re-solves dirty blocks warm.
 func TestOffsetSolverPresolveAllocs(t *testing.T) {
@@ -911,14 +912,17 @@ func TestOffsetSolverPresolveAllocs(t *testing.T) {
 	})
 }
 
-// BenchmarkOffsetSolverPresolveFig1 — the presolve size floor: fig1's
-// axis RLPs (87 vars + 96 constraints = 183) sit below presolveFloor,
-// where E17 measured the reduction as a net ~9% regression (the
-// snapshot-and-contract pass saved no pivots), so PresolveAuto now
+// BenchmarkOffsetSolverPresolveFig1 — the presolve size floor on the
+// one-shot path (align.Offsets), the only path it governs: fig1's axis
+// RLPs (87 vars + 96 constraints = 183) sit below presolveFloor, where
+// E17 measured the reduction as a net ~9% regression (on top of the
+// simplex's own equality presolve it saved no pivots), so PresolveAuto
 // declines them and the offsets phase must cost no more than ~2% over
 // the forced-off baseline. The floor must not fire the reduction at
 // all (zero fixed/contracted/blocks), and larger workloads — rank4-dp
 // at 558 — stay above it (gated ≥ 2× by BenchmarkOffsetSolverPresolve).
+// The RLPs a NewOffsetSolver keeps across §6 rounds skip the equality
+// presolve and ignore the floor (TestKeptRLPsPresolve).
 func BenchmarkOffsetSolverPresolveFig1(b *testing.B) {
 	g := buildGraph(b, determinismSources["fig1"])
 	as, err := align.AxisStride(g)
@@ -991,7 +995,7 @@ func BenchmarkOffsetSolverPresolveFig1(b *testing.B) {
 }
 
 // TestOffsetSolverPresolveFig1Allocs bounds fig1's cold offsets phase
-// under the presolve size floor (measured ~5.5k allocs/op) at 12000.
+// under the presolve size floor (measured ~1 000 allocs/op) at 12000.
 func TestOffsetSolverPresolveFig1Allocs(t *testing.T) {
 	g := buildGraph(t, determinismSources["fig1"])
 	as, err := align.AxisStride(g)
@@ -1005,6 +1009,105 @@ func TestOffsetSolverPresolveFig1Allocs(t *testing.T) {
 		})
 		return err
 	})
+}
+
+// keptRounds sets up the §6 iteration the pipeline runs on src: the
+// round-0 replication labeling, and the round-1 labeling derived from
+// the offsets a presolved round 0 finds.
+func keptRounds(tb testing.TB, src string) (*adg.Graph, *align.AxisStrideResult, [2]*align.ReplResult) {
+	tb.Helper()
+	g := buildGraph(tb, src)
+	as, err := align.AxisStride(g)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	repl0, err := align.Replicate(g, as, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := align.NewOffsetSolver(g, as, keptOptions(lp.PresolveAuto)).Solve(repl0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mobile := func(p *adg.Port, ax int) bool { return !res.Offsets[p.ID][ax].IsConst() }
+	repl1, err := align.Replicate(g, as, mobile)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g, as, [2]*align.ReplResult{repl0, repl1}
+}
+
+func keptOptions(mode lp.PresolveMode) align.OffsetOptions {
+	return align.OffsetOptions{Strategy: align.StrategyFixed, M: 3, Presolve: mode, Parallelism: 1}
+}
+
+// TestKeptRLPsPresolve: presolveFloor governs one-shot solves only. The
+// RLPs a NewOffsetSolver keeps across §6 rounds skip the simplex's
+// equality presolve, so they go through Reduce at every size: fig1 and
+// spreadloop, both below the floor, must split into blocks, contract
+// chains, and pivot less over a cold solve plus one §6 round than the
+// same solver with presolve off (measured 216 vs 359 and 177 vs 339),
+// for the same answer.
+func TestKeptRLPsPresolve(t *testing.T) {
+	for _, name := range []string{"fig1", "spreadloop"} {
+		t.Run(name, func(t *testing.T) {
+			g, as, repls := keptRounds(t, determinismSources[name])
+			run := func(mode lp.PresolveMode) (lp.Stats, *align.OffsetResult) {
+				solver := align.NewOffsetSolver(g, as, keptOptions(mode))
+				var st lp.Stats
+				var res *align.OffsetResult
+				for _, repl := range repls {
+					r, err := solver.Solve(repl)
+					if err != nil {
+						t.Fatal(err)
+					}
+					st.Add(r.Stats)
+					res = r
+				}
+				return st, res
+			}
+			on, onRes := run(lp.PresolveAuto)
+			off, offRes := run(lp.PresolveOff)
+			t.Logf("pivots %d presolved, %d not; %d blocks, %d contracted",
+				on.Pivots, off.Pivots, on.Blocks, on.PresolveContracted)
+			if on.Blocks == 0 || on.PresolveContracted == 0 {
+				t.Errorf("kept RLPs skipped Reduce: %d blocks, %d contracted", on.Blocks, on.PresolveContracted)
+			}
+			if on.Pivots >= off.Pivots {
+				t.Errorf("presolved pivots %d not below %d with presolve off", on.Pivots, off.Pivots)
+			}
+			if onRes.Exact != offRes.Exact {
+				t.Errorf("presolve changes the exact cost: on %d, off %d", onRes.Exact, offRes.Exact)
+			}
+		})
+	}
+}
+
+// TestKeptOffsetsAllocs bounds the offsets phase the pipeline runs
+// under replication: a NewOffsetSolver, its cold solve and one §6
+// round, on fig1 and spreadloop. Measured ~1 030 and ~1 160 allocs/op;
+// with the map-built RLPs and no Reduce below presolveFloor they were
+// ~1 660 and ~1 840. Each kept simplex block holds its own tableau
+// arena, so this path allocates more per RLP than the one-shot path
+// TestColdOffsetsAllocs gates.
+func TestKeptOffsetsAllocs(t *testing.T) {
+	for _, w := range []struct {
+		name string
+		gate float64
+	}{{"fig1", 1500}, {"spreadloop", 1700}} {
+		t.Run(w.name, func(t *testing.T) {
+			g, as, repls := keptRounds(t, determinismSources[w.name])
+			checkAllocs(t, 8, w.gate, func() error {
+				solver := align.NewOffsetSolver(g, as, keptOptions(lp.PresolveAuto))
+				for _, repl := range repls {
+					if _, err := solver.Solve(repl); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		})
+	}
 }
 
 // BenchmarkAlignCached — the content-addressed pipeline cache: aligning

@@ -59,9 +59,10 @@ func goldenReport(g *adg.Graph, ar *align.Result) string {
 
 // TestGoldenReports pins the answers of the pipeline byte for byte:
 // every program in determinismSources and testdata/batch, solved at
-// DefaultOptions and with every offset LP forced onto the dense
-// tableau, must reproduce the cost report and assignment recorded
-// under testdata/golden. Degenerate RLPs have several optimal
+// DefaultOptions, with every offset LP forced onto the dense tableau,
+// and with the state-space-search strategy (whose descent starts from
+// the kept, presolved RLP's vertex), must reproduce the cost report and
+// assignment recorded under testdata/golden. Degenerate RLPs have several optimal
 // vertices, so this is what catches a solver change that moves a
 // pivot choice. Regenerate with `go test -run TestGoldenReports -update .`
 // only when an answer change is intended.
@@ -78,6 +79,7 @@ func TestGoldenReports(t *testing.T) {
 	}{
 		{"default", func(*align.Options) {}},
 		{"dense", func(o *align.Options) { o.Offset.Engine = lp.EngineDense }},
+		{"search", func(o *align.Options) { o.Offset.Strategy = align.StrategySingle }},
 	}
 	for _, name := range names {
 		for _, mode := range modes {

@@ -327,6 +327,21 @@ func (a *graphArena) edge() *Edge {
 	return &a.edges[len(a.edges)-1]
 }
 
+// reserve sizes an empty graph for n nodes, np ports and ne edges, so
+// building a graph of known size allocates each kind of object once
+// instead of in arenaChunk-sized chunks.
+func (g *Graph) reserve(n, np, ne int) {
+	g.arena = graphArena{
+		nodes: make([]Node, 0, n),
+		ports: make([]Port, 0, np),
+		edges: make([]Edge, 0, ne),
+		refs:  make([]*Port, 0, np),
+	}
+	g.Nodes = make([]*Node, 0, n)
+	g.Ports = make([]*Port, 0, np)
+	g.Edges = make([]*Edge, 0, ne)
+}
+
 // refSlice carves an empty port-pointer slice with capacity n (full
 // slice expression: appends fill it in place, never past it).
 func (a *graphArena) refSlice(n int) []*Port {

@@ -137,7 +137,7 @@ func (a Alignment) String() string {
 // cost model (1).
 type Assignment struct {
 	g     *Graph
-	align map[int]Alignment // by port ID
+	align []Alignment // by port ID
 }
 
 // NewAssignment returns an assignment giving every port the identity
@@ -149,7 +149,7 @@ func NewAssignment(g *Graph) *Assignment {
 // NewAssignmentFunc returns an assignment giving every port p the
 // alignment of(p).
 func NewAssignmentFunc(g *Graph, of func(p *Port) Alignment) *Assignment {
-	as := &Assignment{g: g, align: make(map[int]Alignment, len(g.Ports))}
+	as := &Assignment{g: g, align: make([]Alignment, len(g.Ports))}
 	for _, p := range g.Ports {
 		as.align[p.ID] = of(p)
 	}
@@ -167,7 +167,7 @@ func (as *Assignment) Set(p *Port, a Alignment) { as.align[p.ID] = a }
 
 // Clone returns a deep copy of the assignment.
 func (as *Assignment) Clone() *Assignment {
-	out := &Assignment{g: as.g, align: map[int]Alignment{}}
+	out := &Assignment{g: as.g, align: make([]Alignment, len(as.align))}
 	for id, a := range as.align {
 		out.align[id] = a.Clone()
 	}
@@ -194,16 +194,4 @@ func (as *Assignment) String() string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// MergeOffsetAxis copies template axis t of every port's offset vector
-// from src into dst. The per-axis offset problems are independent (§4),
-// so solvers that work axis-by-axis — possibly concurrently — combine
-// their private results with this in axis order; the merge is pure
-// column assignment, so the combined labeling is identical to a
-// sequential solve.
-func MergeOffsetAxis(dst, src map[int][]expr.Affine, t int) {
-	for pid, offs := range src {
-		dst[pid][t] = offs[t]
-	}
 }

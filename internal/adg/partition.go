@@ -91,6 +91,24 @@ func PartitionGraph(g *Graph) *Partition {
 		}
 		p.NodeRegion[nd.ID] = ri
 	}
+	// Size every region's graph and index lists up front.
+	type size struct{ nodes, ports, edges int }
+	sizes := make([]size, len(p.Regions))
+	for _, nd := range g.Nodes {
+		sz := &sizes[p.NodeRegion[nd.ID]]
+		sz.nodes++
+		sz.ports += len(nd.In) + len(nd.Out)
+	}
+	for _, e := range g.Edges {
+		sizes[p.NodeRegion[e.Src.Node.ID]].edges++
+	}
+	for ri, reg := range p.Regions {
+		sz := sizes[ri]
+		reg.Graph.reserve(sz.nodes, sz.ports, sz.edges)
+		reg.Nodes = make([]int, 0, sz.nodes)
+		reg.Ports = make([]int, 0, sz.ports)
+		reg.Edges = make([]int, 0, sz.edges)
+	}
 	// Extract each region with order-preserving dense renumbering. Nodes
 	// are visited in parent ID order and edges in parent ID order, so
 	// region IDs are the ranks of the parent IDs within the component.

@@ -1,6 +1,7 @@
 package align
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/adg"
@@ -317,13 +318,24 @@ enddo
 }
 
 // TestOffsetFeasibilityAfterRounding: the rounded offsets satisfy every
-// node constraint exactly.
+// node constraint exactly, from a one-shot solve and from every round of
+// the §6 iteration the pipeline runs on a NewOffsetSolver (replication
+// on, two rounds, the kept RLPs presolved).
 func TestOffsetFeasibilityAfterRounding(t *testing.T) {
 	srcs := []string{
 		fig1,
 		"real A(100), B(100)\nA(1:99) = A(1:99) + B(2:100)\n",
 		"real A(50,50), C(50,50)\nA = A + transpose(C)\n",
 		"real A(60)\ndo k = 1, 6\n A(k:k+9) = A(k:k+9) + 1\nenddo\n",
+	}
+	check := func(g *adg.Graph, as *AxisStrideResult, repl *ReplResult, off *OffsetResult, what string) {
+		t.Helper()
+		for axis := 0; axis < g.TemplateRank; axis++ {
+			ax := &axisSolver{g: g, as: as, repl: repl, axis: axis, opts: OffsetOptions{}.withDefaults()}
+			if !ax.feasible(off.Offsets) {
+				t.Errorf("%s: rounded offsets infeasible on axis %d", what, axis)
+			}
+		}
 	}
 	for _, src := range srcs {
 		g := mustGraph(t, src)
@@ -335,10 +347,21 @@ func TestOffsetFeasibilityAfterRounding(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", src[:20], err)
 		}
-		for axis := 0; axis < g.TemplateRank; axis++ {
-			ax := &axisSolver{g: g, as: as, repl: NoReplication(g), axis: axis, opts: OffsetOptions{}.withDefaults()}
-			if !ax.feasible(off.Offsets) {
-				t.Errorf("%q: rounded offsets infeasible on axis %d", src[:20], axis)
+		check(g, as, NoReplication(g), off, fmt.Sprintf("%q one-shot", src[:20]))
+		for _, s := range []Strategy{StrategyFixed, StrategySingle} {
+			solver := NewOffsetSolver(g, as, OffsetOptions{Strategy: s, M: 3})
+			var mobile MobilePredicate
+			for round := 0; round < 2; round++ {
+				repl, err := Replicate(g, as, mobile)
+				if err != nil {
+					t.Fatal(err)
+				}
+				off, err := solver.Solve(repl)
+				if err != nil {
+					t.Fatalf("%q %v round %d: %v", src[:20], s, round, err)
+				}
+				check(g, as, repl, off, fmt.Sprintf("%q %v round %d", src[:20], s, round))
+				mobile = func(p *adg.Port, t int) bool { return !off.Offsets[p.ID][t].IsConst() }
 			}
 		}
 	}

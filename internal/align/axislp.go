@@ -21,12 +21,17 @@ import (
 // The one-shot and refining solves build one axisLP per RLP; the §6
 // replication rounds keep one per axis and re-solve it after each
 // labeling change, which alters only θ costs: the classification and
-// the reduction are structural, so both run once.
+// the reduction are structural, so both run once, and a block none of
+// whose costs changed keeps last round's solution.
 
 // axisLP is one built offset RLP and its route.
 type axisLP struct {
 	prob *lp.Problem
-	vars map[coefKey]lp.VarID
+	// cols maps each coefficient slot (coefLayout) to its column; -1
+	// for a coefficient no row references.
+	cols []lp.VarID
+	// thetas lists the θ columns of a kept RLP with their edges.
+	thetas []edgeTheta
 	// keep retains simplex bases (whole problem or per block) so a
 	// re-solve after setCost runs phase 2 only.
 	keep bool
@@ -50,19 +55,22 @@ type lpBlock struct {
 }
 
 // presolveFloor is the RLP size floor (variables + constraints) below
-// which the offset solver skips the presolver: on tiny axis problems
-// the reduction's snapshot-and-contract pass costs more than the
-// handful of simplex pivots it saves, and E17 measured the fig1 RLPs
-// (183) as a net ~9% regression under presolve while the mixed
-// partial-network workload (256) and the rank4-dp RLPs (558) gain from
-// it. 220 splits those measured sizes.
+// which a one-shot solve skips Reduce. A one-shot problem still runs
+// the simplex's own equality presolve (lp.Problem.Solve), and on tiny
+// axis problems Reduce's snapshot-and-contract pass costs more than the
+// pivots it saves on top of that: E17 measured the fig1 RLPs (183) as
+// a net ~9% regression under Reduce while the mixed partial-network
+// workload (256) and the rank4-dp RLPs (558) gain from it. 220 splits
+// those measured sizes. A kept RLP ignores the floor: keeping a basis
+// bypasses the equality presolve, so without Reduce its cold solve and
+// every §6 round would pivot through the full problem.
 const presolveFloor = 220
 
 // newAxisLP builds the RLP for the given subrange partitions and picks
 // its route.
 func (ax *axisSolver) newAxisLP(parts map[int][]space.Space, keep bool) *axisLP {
-	prob, vars := ax.buildRLP(parts)
-	l := &axisLP{prob: prob, vars: vars, keep: keep}
+	prob, cols, thetas := ax.buildRLP(parts)
+	l := &axisLP{prob: prob, cols: cols, thetas: thetas, keep: keep}
 	if !ax.opts.NoNetPath {
 		l.nf, _ = prob.NetworkForm()
 	}
@@ -73,11 +81,11 @@ func (ax *axisSolver) newAxisLP(parts map[int][]space.Space, keep bool) *axisLP 
 }
 
 // presolve splits the problem into Reduce's blocks when presolve is on
-// and the problem clears presolveFloor; otherwise, or when Reduce
-// declines, the simplex solves the whole problem.
+// and the problem is kept or clears presolveFloor; otherwise, or when
+// Reduce declines, the simplex solves the whole problem.
 func (l *axisLP) presolve(ax *axisSolver) {
 	size := l.prob.NumVariables() + l.prob.NumConstraints()
-	if ax.opts.Presolve != lp.PresolveOff && size >= presolveFloor {
+	if ax.opts.Presolve != lp.PresolveOff && (l.keep || size >= presolveFloor) {
 		l.split(ax)
 	}
 	if l.red == nil && l.keep {
@@ -86,8 +94,9 @@ func (l *axisLP) presolve(ax *axisSolver) {
 }
 
 // split runs Reduce and prepares its blocks. Blocks that keep a basis
-// must not share an arena, so they allocate their own tableaux; the
-// others solve one after another in the axis arena.
+// must not share an arena, so each simplex block takes its own from
+// the scratch pool (returned with the axis arena); the others solve one
+// after another in the axis arena.
 func (l *axisLP) split(ax *axisSolver) {
 	red, ok := l.prob.Reduce()
 	if !ok {
@@ -98,13 +107,18 @@ func (l *axisLP) split(ax *axisSolver) {
 	for i := range red.Blocks {
 		b := &l.blocks[i]
 		b.prob, b.dirty = red.Blocks[i].Prob, true
-		if l.keep {
-			b.prob.KeepBasis()
-		} else {
-			b.prob.SetArena(ax.arena)
-		}
 		if !ax.opts.NoNetPath {
 			b.nf, _ = b.prob.NetworkForm()
+		}
+		if !l.keep {
+			b.prob.SetArena(ax.arena)
+			continue
+		}
+		b.prob.KeepBasis()
+		if b.nf == nil {
+			ar := ax.opts.scratch.getArena()
+			ax.blockArenas = append(ax.blockArenas, ar)
+			b.prob.SetArena(ar)
 		}
 	}
 }
@@ -125,21 +139,23 @@ func (l *axisLP) setCost(v lp.VarID, cost float64) {
 	}
 }
 
-// solve runs the route once into res and returns the coefficient
-// values and the LP objective.
-func (l *axisLP) solve(ax *axisSolver, res *OffsetResult) (map[coefKey]float64, float64, error) {
+// solve runs the route once, counting it into res, writes the
+// coefficient values into ax.vals and returns the LP objective.
+func (l *axisLP) solve(ax *axisSolver, res *OffsetResult) (float64, error) {
 	res.LPVariables = max(res.LPVariables, l.prob.NumVariables())
 	res.LPConstraints = max(res.LPConstraints, l.prob.NumConstraints())
 	sol, err := l.run(ax)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	res.Solves++
-	coefs := make(map[coefKey]float64, len(l.vars))
-	for k, v := range l.vars {
-		coefs[k] = sol.Value(v)
+	for s, v := range l.cols {
+		ax.vals[s] = 0
+		if v >= 0 {
+			ax.vals[s] = sol.Value(v)
+		}
 	}
-	return coefs, sol.Objective, nil
+	return sol.Objective, nil
 }
 
 // run solves the problem down the route. A flow that declines after

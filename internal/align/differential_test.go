@@ -131,10 +131,10 @@ func genDiffSpec(rng *rand.Rand, shape diffShape) diffSpec {
 func (sp diffSpec) build() *lp.Problem {
 	p := lp.NewProblem()
 	for i := 0; i < sp.n; i++ {
-		p.AddVariable("x", 0, true)
+		p.AddVariable(0, true)
 	}
 	for _, t := range sp.terms {
-		th := p.AddVariable("th", t.w, false)
+		th := p.AddVariable(t.w, false)
 		pos := map[lp.VarID]float64{th: 1, t.u: -t.av}
 		neg := map[lp.VarID]float64{th: 1, t.u: t.av}
 		if t.v >= 0 {

@@ -1,7 +1,6 @@
 package align
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -56,12 +55,12 @@ A = B + C
 		const nv = 12
 		off := make([]lp.VarID, nv)
 		for i := range off {
-			off[i] = p.AddVariable(fmt.Sprintf("x%d", i), 0, true)
+			off[i] = p.AddVariable(0, true)
 		}
 		p.AddConstraint(map[lp.VarID]float64{off[0]: 1}, lp.EQ, 0)
 		ths := make([]lp.VarID, 0, nv-1)
 		for i := 0; i+1 < nv; i++ {
-			th := p.AddVariable(fmt.Sprintf("t%d", i), float64(1+i%3), false)
+			th := p.AddVariable(float64(1+i%3), false)
 			ths = append(ths, th)
 			d := float64(i%5 - 2)
 			p.AddConstraint(map[lp.VarID]float64{th: 1, off[i]: 1, off[i+1]: -1}, lp.GE, -d)

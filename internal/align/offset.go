@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -114,10 +115,11 @@ type OffsetOptions struct {
 	// route that is not a whole-problem flow: pins and
 	// difference-equality chains are contracted out and the residue
 	// split into independent blocks solved per block (network fast path
-	// per block where it applies, simplex otherwise). RLPs below
-	// presolveFloor skip it. The default, lp.PresolveAuto, is on;
-	// lp.PresolveOff solves every RLP exactly as built (differential
-	// testing, baseline measurement).
+	// per block where it applies, simplex otherwise). One-shot RLPs
+	// below presolveFloor skip it; RLPs a NewOffsetSolver keeps across
+	// §6 rounds run it at every size. The default, lp.PresolveAuto, is
+	// on; lp.PresolveOff solves every RLP exactly as built
+	// (differential testing, baseline measurement).
 	Presolve lp.PresolveMode
 
 	// scratch, when non-nil, recycles tableau arenas across solves.
@@ -166,11 +168,92 @@ type OffsetResult struct {
 	Stats lp.Stats
 }
 
-// coefKey identifies one unknown coefficient: the LIV coefficient (or
-// constant term when LIV == "") of a port's offset on the current axis.
-type coefKey struct {
-	port int
-	liv  string // "" = constant term
+// coefLayout numbers the unknown coefficients of a graph's offset
+// RLPs. Port p's offset on one axis is a_p + Σ_l a_p,l·livs[l]: its
+// constant term a_p sits at slot p·stride and its coefficient of the
+// graph's l-th loop variable at slot p·stride+1+l. The layout is the
+// same on every axis, so one serves a whole OffsetSolver.
+type coefLayout struct {
+	livs   []string // every loop variable of the graph, first-seen order
+	stride int      // 1 + len(livs)
+	// portLivs[p] holds the livs indices of port p's own loop
+	// variables, in the order of p.Space.LIVs.
+	portLivs [][]int
+}
+
+func newCoefLayout(g *adg.Graph) *coefLayout {
+	lay := &coefLayout{}
+	add := func(name string) {
+		if lay.index(name) < 0 {
+			lay.livs = append(lay.livs, name)
+		}
+	}
+	n := 0
+	for _, p := range g.Ports {
+		for _, v := range p.Space.LIVs {
+			add(v)
+		}
+		n += len(p.Space.LIVs)
+	}
+	// Transformers name their loop variable and the bounds of the
+	// enclosing loops; nodeMove shifts coefficients by those names.
+	for _, nd := range g.Nodes {
+		if nd.Kind != adg.KindXform {
+			continue
+		}
+		x := nd.Xform
+		add(x.LIV)
+		for _, a := range [...]expr.Affine{x.Lo, x.Step, lastIterate(x)} {
+			a.EachTerm(func(t expr.Term) bool { add(t.Var); return true })
+		}
+	}
+	lay.stride = 1 + len(lay.livs)
+	flat := make([]int, 0, n)
+	lay.portLivs = make([][]int, len(g.Ports))
+	for _, p := range g.Ports {
+		start := len(flat)
+		for _, v := range p.Space.LIVs {
+			flat = append(flat, lay.index(v))
+		}
+		lay.portLivs[p.ID] = flat[start:len(flat):len(flat)]
+	}
+	return lay
+}
+
+// index returns the position of loop variable name in livs, or -1.
+func (lay *coefLayout) index(name string) int {
+	for i, v := range lay.livs {
+		if v == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// liv returns the index of a loop variable the graph names.
+func (lay *coefLayout) liv(name string) int {
+	li := lay.index(name)
+	if li < 0 {
+		panic(fmt.Sprintf("align: loop variable %q is not in the graph", name))
+	}
+	return li
+}
+
+// slot returns the slot of port's coefficient of livs[li]; li = -1
+// selects the constant term.
+func (lay *coefLayout) slot(port, li int) int { return port*lay.stride + 1 + li }
+
+// slots returns the number of slots of a graph with n ports.
+func (lay *coefLayout) slots(n int) int { return n * lay.stride }
+
+// hasLiv reports whether port's own loop variables include livs[li].
+func (lay *coefLayout) hasLiv(port, li int) bool {
+	for _, l := range lay.portLivs[port] {
+		if l == li {
+			return true
+		}
+	}
+	return false
 }
 
 // Offsets solves mobile offset alignment (§4) for every template axis
@@ -185,14 +268,14 @@ func Offsets(g *adg.Graph, as *AxisStrideResult, repl *ReplResult, opts OffsetOp
 	return s.Solve(repl)
 }
 
+// newOffsetResult returns a result whose every port offset is 0 on
+// every axis; the per-port slices are carved from one array.
 func newOffsetResult(g *adg.Graph) *OffsetResult {
-	res := &OffsetResult{Offsets: map[int][]expr.Affine{}}
-	for _, p := range g.Ports {
-		offs := make([]expr.Affine, g.TemplateRank)
-		for t := range offs {
-			offs[t] = expr.Const(0)
-		}
-		res.Offsets[p.ID] = offs
+	res := &OffsetResult{Offsets: make(map[int][]expr.Affine, len(g.Ports))}
+	tr := g.TemplateRank
+	offs := make([]expr.Affine, tr*len(g.Ports))
+	for i, p := range g.Ports {
+		res.Offsets[p.ID] = offs[i*tr : (i+1)*tr : (i+1)*tr]
 	}
 	return res
 }
@@ -203,35 +286,29 @@ type axisSolver struct {
 	repl *ReplResult
 	axis int
 	opts OffsetOptions
+	lay  *coefLayout
 
 	arena *lp.Arena // tableau storage reused across this axis's solves
 	stats *lp.Stats // per-axis effort accounting (merged post-join)
+	// blockArenas hold the tableaux of kept simplex blocks, one each.
+	blockArenas []*lp.Arena
+	// offs is the result being solved: the axis writes only its own
+	// entry of each port's offsets.
+	offs map[int][]expr.Affine
+	// vals and ints hold the last solve's coefficients per layout
+	// slot, as solved and as rounded.
+	vals []float64
+	ints []int64
 	// warmAll builds the RLP over all edges — dead (replicated) edges
 	// keep their θ terms at objective cost 0 — so the constraint matrix
 	// is invariant across §6 replication rounds and the basis can be
-	// reused; thetas records each edge's θ variables for the per-round
-	// cost rebuild.
+	// reused.
 	warmAll bool
-	thetas  map[int][]lp.VarID
 	// memoJobs, when non-nil, memoizes the per-(edge, subrange) moment
 	// sums across refinement rounds: a refining strategy re-partitions
 	// only the edges whose span crosses zero, so every unchanged
 	// subrange reuses last round's moments instead of re-summing them.
 	memoJobs map[int][]termJob
-}
-
-// newTheta adds one θ variable for edge e, at cost 0 when the edge is
-// currently dead under warmAll (the cost is rebuilt every round).
-func (ax *axisSolver) newTheta(prob *lp.Problem, e *adg.Edge) lp.VarID {
-	cost := 1.0
-	if ax.warmAll && !ax.liveEdge(e) {
-		cost = 0
-	}
-	th := prob.AddVariable(fmt.Sprintf("theta[e%d]", e.ID), cost, false)
-	if ax.thetas != nil {
-		ax.thetas[e.ID] = append(ax.thetas[e.ID], th)
-	}
-	return th
 }
 
 // ctxErr returns the solve's cancellation error, or nil.
@@ -252,7 +329,6 @@ func (ax *axisSolver) liveEdge(e *adg.Edge) bool {
 
 func (ax *axisSolver) solve(res *OffsetResult) error {
 	parts := ax.initialPartitions()
-	var coefs map[coefKey]float64
 	var obj float64
 	refining := ax.opts.Strategy == StrategyZeroTrack || ax.opts.Strategy == StrategyRecursive
 	rounds := 1
@@ -265,20 +341,20 @@ func (ax *axisSolver) solve(res *OffsetResult) error {
 			return err
 		}
 		var err error
-		coefs, obj, err = ax.newAxisLP(parts, false).solve(ax, res)
+		obj, err = ax.newAxisLP(parts, false).solve(ax, res)
 		if err != nil {
 			return err
 		}
 		if !refining {
 			break
 		}
-		newParts, changed := ax.refinePartitions(parts, coefs)
+		newParts, changed := ax.refinePartitions(parts)
 		if !changed {
 			break
 		}
 		parts = newParts
 	}
-	return ax.finish(res, coefs, obj)
+	return ax.finish(res, obj)
 }
 
 // finish rounds the solved coefficients to integers, stores them, and
@@ -286,12 +362,14 @@ func (ax *axisSolver) solve(res *OffsetResult) error {
 // mid-descent left a feasible but partially optimized labeling; it is
 // reported as an error so a canceled solve never delivers a result
 // that differs from an uncanceled one.
-func (ax *axisSolver) finish(res *OffsetResult, coefs map[coefKey]float64, obj float64) error {
-	ints := roundCoefs(coefs)
-	ax.store(res, ints)
+func (ax *axisSolver) finish(res *OffsetResult, obj float64) error {
+	for s, v := range ax.vals {
+		ax.ints[s] = int64(math.Round(v))
+	}
+	ax.store()
 	res.Approx += obj
 	if ax.opts.Strategy == StrategySingle {
-		ax.steepestDescent(res, ints)
+		ax.steepestDescent()
 	}
 	return ax.ctxErr()
 }
@@ -329,8 +407,65 @@ func (ax *axisSolver) initialPartitions() map[int][]space.Space {
 	return parts
 }
 
-// buildRLP constructs the RLP instance for the current axis.
-func (ax *axisSolver) buildRLP(parts map[int][]space.Space) (*lp.Problem, map[coefKey]lp.VarID) {
+// edgeTheta is one θ column of an RLP and the edge it measures.
+type edgeTheta struct {
+	e *adg.Edge
+	v lp.VarID
+}
+
+// rlpBuilder emits one axis RLP. Rows are collected as term lists and
+// handed to lp.Problem.AddRow; a coefficient's column is created the
+// first time a row references it, so the column order — and with it
+// every pivot choice — follows the emission order.
+type rlpBuilder struct {
+	ax   *axisSolver
+	prob *lp.Problem
+	cols []lp.VarID // slot → column; -1 until referenced
+	// thetas records every θ column when the RLP is kept across §6
+	// rounds, for the per-round cost rebuild.
+	thetas []edgeTheta
+	row    []lp.Term
+}
+
+// col returns the column of a coefficient slot, creating it if needed.
+func (b *rlpBuilder) col(slot int) lp.VarID {
+	if v := b.cols[slot]; v >= 0 {
+		return v
+	}
+	v := b.prob.AddVariable(0, true)
+	b.cols[slot] = v
+	return v
+}
+
+// term appends a·(port's coefficient of livs[li]) to the pending row.
+func (b *rlpBuilder) term(port, li int, a float64) {
+	b.row = append(b.row, lp.Term{V: b.col(b.ax.lay.slot(port, li)), A: a})
+}
+
+// emit adds the pending row to the problem.
+func (b *rlpBuilder) emit(op lp.Op, rhs float64) {
+	b.prob.AddRow(b.row, op, rhs)
+	b.row = b.row[:0]
+}
+
+// newTheta adds one θ variable for edge e, at cost 0 when the edge is
+// currently dead under warmAll (the cost is rebuilt every round).
+func (b *rlpBuilder) newTheta(e *adg.Edge) lp.VarID {
+	ax := b.ax
+	cost := 1.0
+	if ax.warmAll && !ax.liveEdge(e) {
+		cost = 0
+	}
+	th := b.prob.AddVariable(cost, false)
+	if ax.warmAll {
+		b.thetas = append(b.thetas, edgeTheta{e: e, v: th})
+	}
+	return th
+}
+
+// buildRLP constructs the RLP instance for the current axis and returns
+// it with its slot → column map and its θ columns.
+func (ax *axisSolver) buildRLP(parts map[int][]space.Space) (*lp.Problem, []lp.VarID, []edgeTheta) {
 	prob := lp.NewProblem()
 	if ax.arena == nil {
 		ax.arena = ax.opts.scratch.getArena()
@@ -338,29 +473,16 @@ func (ax *axisSolver) buildRLP(parts map[int][]space.Space) (*lp.Problem, map[co
 	prob.SetArena(ax.arena)
 	prob.SetStats(ax.stats)
 	prob.SetOptions(lp.Options{MaxIter: ax.opts.MaxIter, Ctx: ax.opts.ctx, Engine: ax.opts.Engine})
-	if ax.warmAll {
-		ax.thetas = map[int][]lp.VarID{}
-	}
-	vars := map[coefKey]lp.VarID{}
-	varOf := func(k coefKey) lp.VarID {
-		if v, ok := vars[k]; ok {
-			return v
-		}
-		v := prob.AddVariable(fmt.Sprintf("a[p%d,%s]", k.port, k.liv), 0, true)
-		vars[k] = v
-		return v
-	}
-	portVars := func(p *adg.Port) []coefKey {
-		keys := []coefKey{{port: p.ID, liv: ""}}
-		for _, v := range p.Space.LIVs {
-			keys = append(keys, coefKey{port: p.ID, liv: v})
-		}
-		return keys
+	lay := ax.lay
+	b := &rlpBuilder{ax: ax, prob: prob, cols: make([]lp.VarID, lay.slots(len(ax.g.Ports)))}
+	for s := range b.cols {
+		b.cols[s] = -1
 	}
 	// Ensure every port has its variables (even unconstrained ones).
 	for _, p := range ax.g.Ports {
-		for _, k := range portVars(p) {
-			varOf(k)
+		b.col(lay.slot(p.ID, -1))
+		for _, li := range lay.portLivs[p.ID] {
+			b.col(lay.slot(p.ID, li))
 		}
 	}
 	// Static mode: pin LIV coefficients to zero so every chosen alignment
@@ -370,7 +492,7 @@ func (ax *axisSolver) buildRLP(parts map[int][]space.Space) (*lp.Problem, map[co
 	// must stay free or the system is infeasible; their positions are
 	// consequences, not choices.
 	if ax.opts.Static {
-		forced := map[int]bool{}
+		forced := make([]bool, len(ax.g.Ports))
 		for _, n := range ax.g.Nodes {
 			switch n.Kind {
 			case adg.KindSection, adg.KindGather:
@@ -383,20 +505,22 @@ func (ax *axisSolver) buildRLP(parts map[int][]space.Space) (*lp.Problem, map[co
 			if forced[p.ID] {
 				continue
 			}
-			for _, v := range p.Space.LIVs {
-				prob.AddConstraint(map[lp.VarID]float64{varOf(coefKey{port: p.ID, liv: v}): 1}, lp.EQ, 0)
+			for _, li := range lay.portLivs[p.ID] {
+				b.term(p.ID, li, 1)
+				b.emit(lp.EQ, 0)
 			}
 		}
 	}
 
 	// Node constraints.
 	for _, n := range ax.g.Nodes {
-		ax.nodeConstraints(prob, varOf, n)
+		b.nodeConstraints(n)
 	}
 	// Anchor the constant coefficient of the lowest port in each
 	// connected component to remove translation freedom.
 	for _, pid := range ax.anchors() {
-		prob.AddConstraint(map[lp.VarID]float64{varOf(coefKey{port: pid}): 1}, lp.EQ, 0)
+		b.term(pid, -1, 1)
+		b.emit(lp.EQ, 0)
 	}
 
 	// Edge objective: θ per (edge, subrange). The per-subrange moment
@@ -429,17 +553,17 @@ func (ax *axisSolver) buildRLP(parts map[int][]space.Space) (*lp.Problem, map[co
 		subs, ok := parts[e.ID]
 		if !ok {
 			// Symbolic or scalar space: single subrange via TotalOf.
-			ax.addEdgeTermSymbolic(prob, varOf, e)
+			b.addEdgeTermSymbolic(e)
 			continue
 		}
 		for range subs {
 			j := &jobs[cursor]
 			cursor++
-			ax.addEdgeTerm(prob, varOf, e, j.livs, j.m0, j.mv)
+			b.addEdgeTerm(e, j.m0, j.mv)
 		}
 	}
 
-	return prob, vars
+	return prob, b.cols, b.thetas
 }
 
 // termJob is one (edge, subrange) moment computation. done marks a job
@@ -529,36 +653,37 @@ func computeMoments(jobs []termJob, par int) {
 }
 
 // addEdgeTerm emits θ ≥ ±Σ_{i∈sub} w(i)·span(i) for one subrange, from
-// precomputed moments.
-func (ax *axisSolver) addEdgeTerm(prob *lp.Problem, varOf func(coefKey) lp.VarID, e *adg.Edge, livs []string, m0 int64, mv []int64) {
+// its moments. An edge's space carries its source port's loop
+// variables (Edge.Space only pins a level), so mv is indexed like the
+// source port's layout LIVs.
+func (b *rlpBuilder) addEdgeTerm(e *adg.Edge, m0 int64, mv []int64) {
 	if m0 == 0 && allZero(mv) {
 		return
 	}
-	theta := ax.newTheta(prob, e)
-	pos := map[lp.VarID]float64{theta: 1}
-	neg := map[lp.VarID]float64{theta: 1}
-	addTerm := func(k coefKey, c float64) {
-		if c == 0 {
-			return
-		}
-		v := varOf(k)
-		pos[v] -= c
-		neg[v] += c
-	}
+	theta := b.newTheta(e)
+	livs := b.ax.lay.portLivs[e.Src.ID]
 	c := e.Control
-	addTerm(coefKey{port: e.Src.ID}, c*float64(m0))
-	addTerm(coefKey{port: e.Dst.ID}, -c*float64(m0))
-	for k, liv := range livs {
-		addTerm(coefKey{port: e.Src.ID, liv: liv}, c*float64(mv[k]))
-		addTerm(coefKey{port: e.Dst.ID, liv: liv}, -c*float64(mv[k]))
+	// Row θ − L ≥ 0, then θ + L ≥ 0. A zero coefficient adds no term
+	// (and creates no column).
+	for _, sign := range [2]float64{-1, 1} {
+		b.row = append(b.row, lp.Term{V: theta, A: 1})
+		if x := c * float64(m0); x != 0 {
+			b.term(e.Src.ID, -1, sign*x)
+			b.term(e.Dst.ID, -1, -sign*x)
+		}
+		for k, li := range livs {
+			if x := c * float64(mv[k]); x != 0 {
+				b.term(e.Src.ID, li, sign*x)
+				b.term(e.Dst.ID, li, -sign*x)
+			}
+		}
+		b.emit(lp.GE, 0)
 	}
-	prob.AddConstraint(pos, lp.GE, 0) // θ − L ≥ 0
-	prob.AddConstraint(neg, lp.GE, 0) // θ + L ≥ 0
 }
 
 // addEdgeTermSymbolic emits the single-subrange term for edges whose
 // iteration space has symbolic (affine) bounds or rank 0.
-func (ax *axisSolver) addEdgeTermSymbolic(prob *lp.Problem, varOf func(coefKey) lp.VarID, e *adg.Edge) {
+func (b *rlpBuilder) addEdgeTermSymbolic(e *adg.Edge) {
 	sp := e.Space()
 	w := e.Weight()
 	m0 := sp.TotalOf(w)
@@ -566,29 +691,7 @@ func (ax *axisSolver) addEdgeTermSymbolic(prob *lp.Problem, varOf func(coefKey) 
 	for k, liv := range sp.LIVs {
 		mv[k] = sp.TotalOf(w.Mul(expr.PolyVar(liv)))
 	}
-	if m0 == 0 && allZero(mv) {
-		return
-	}
-	theta := ax.newTheta(prob, e)
-	pos := map[lp.VarID]float64{theta: 1}
-	neg := map[lp.VarID]float64{theta: 1}
-	addTerm := func(k coefKey, c float64) {
-		if c == 0 {
-			return
-		}
-		v := varOf(k)
-		pos[v] -= c
-		neg[v] += c
-	}
-	c := e.Control
-	addTerm(coefKey{port: e.Src.ID}, c*float64(m0))
-	addTerm(coefKey{port: e.Dst.ID}, -c*float64(m0))
-	for k, liv := range sp.LIVs {
-		addTerm(coefKey{port: e.Src.ID, liv: liv}, c*float64(mv[k]))
-		addTerm(coefKey{port: e.Dst.ID, liv: liv}, -c*float64(mv[k]))
-	}
-	prob.AddConstraint(pos, lp.GE, 0)
-	prob.AddConstraint(neg, lp.GE, 0)
+	b.addEdgeTerm(e, m0, mv)
 }
 
 // moments returns M0 = Σ_{i∈sub} w(i) and Mv[k] = Σ_{i∈sub} w(i)·i_k
@@ -617,80 +720,73 @@ func allZero(m []int64) bool {
 	return true
 }
 
-// nodeConstraints emits the linear offset constraints of one node on the
-// current axis (see §2.2.2 and the node catalogue in DESIGN.md).
-func (ax *axisSolver) nodeConstraints(prob *lp.Problem, varOf func(coefKey) lp.VarID, n *adg.Node) {
-	t := ax.axis
-	eq := func(a, b *adg.Port, delta expr.Affine) {
-		// π_a = π_b + δ, coefficient-wise over the common space. The
-		// coefficient keys are emitted in a fixed order (constant term,
-		// then a's LIVs, then b's extras) so the constraint system — and
-		// with it which of several degenerate optima the simplex selects —
-		// is reproducible across runs.
-		livs := []string{""}
-		seen := map[string]bool{"": true}
-		for _, v := range a.Space.LIVs {
-			if !seen[v] {
-				seen[v] = true
-				livs = append(livs, v)
-			}
+// eq emits π_a = π_c + δ coefficient-wise over the common space: one
+// row per coefficient, in a fixed order (constant term, then a's LIVs,
+// then c's extras) so the constraint system — and with it which of
+// several degenerate optima the simplex selects — is reproducible.
+func (b *rlpBuilder) eq(a, c *adg.Port, delta expr.Affine) {
+	lay := b.ax.lay
+	row := func(li int) {
+		b.term(a.ID, li, 1)
+		b.term(c.ID, li, -1)
+		rhs := delta.ConstPart()
+		if li >= 0 {
+			rhs = delta.Coef(lay.livs[li])
 		}
-		for _, v := range b.Space.LIVs {
-			if !seen[v] {
-				seen[v] = true
-				livs = append(livs, v)
-			}
-		}
-		for _, v := range livs {
-			co := map[lp.VarID]float64{}
-			co[varOf(coefKey{port: a.ID, liv: v})] += 1
-			co[varOf(coefKey{port: b.ID, liv: v})] -= 1
-			var rhs float64
-			if v == "" {
-				rhs = float64(delta.ConstPart())
-			} else {
-				rhs = float64(delta.Coef(v))
-			}
-			prob.AddConstraint(co, lp.EQ, rhs)
+		b.emit(lp.EQ, float64(rhs))
+	}
+	row(-1)
+	for _, li := range lay.portLivs[a.ID] {
+		row(li)
+	}
+	for _, li := range lay.portLivs[c.ID] {
+		if !lay.hasLiv(a.ID, li) {
+			row(li)
 		}
 	}
+}
+
+// nodeConstraints emits the linear offset constraints of one node on the
+// current axis (see §2.2.2 and the node catalogue in DESIGN.md).
+func (b *rlpBuilder) nodeConstraints(n *adg.Node) {
+	t := b.ax.axis
 	zero := expr.Const(0)
 	switch n.Kind {
 	case adg.KindOp, adg.KindMerge, adg.KindFanout, adg.KindBranch:
 		ref := n.Out[0]
 		for _, p := range n.In {
-			eq(p, ref, zero)
+			b.eq(p, ref, zero)
 		}
 		for _, p := range n.Out[1:] {
-			eq(p, ref, zero)
+			b.eq(p, ref, zero)
 		}
 	case adg.KindTranspose:
-		eq(n.Out[0], n.In[0], zero)
+		b.eq(n.Out[0], n.In[0], zero)
 	case adg.KindSection:
-		ax.sectionConstraint(prob, varOf, eq, n, n.In[0], n.Out[0])
+		b.sectionConstraint(n, n.In[0], n.Out[0])
 	case adg.KindSectionAssign:
-		eq(n.Out[0], n.In[0], zero)
-		ax.sectionConstraint(prob, varOf, eq, n, n.In[0], n.In[1])
+		b.eq(n.Out[0], n.In[0], zero)
+		b.sectionConstraint(n, n.In[0], n.In[1])
 	case adg.KindSpread:
-		outLabel := ax.as.Labels[n.Out[0].ID]
+		outLabel := b.ax.as.Labels[n.Out[0].ID]
 		spreadAxis := -1
 		if n.SpreadDim-1 < len(outLabel.AxisMap) {
 			spreadAxis = outLabel.AxisMap[n.SpreadDim-1]
 		}
 		if t != spreadAxis {
-			eq(n.Out[0], n.In[0], zero)
+			b.eq(n.Out[0], n.In[0], zero)
 		}
 	case adg.KindReduce:
 		if n.ReduceDim == 0 {
 			return // full reduction: scalar result unconstrained
 		}
-		inLabel := ax.as.Labels[n.In[0].ID]
+		inLabel := b.ax.as.Labels[n.In[0].ID]
 		redAxis := inLabel.AxisMap[n.ReduceDim-1]
 		if t != redAxis {
-			eq(n.Out[0], n.In[0], zero)
+			b.eq(n.Out[0], n.In[0], zero)
 		}
 	case adg.KindXform:
-		ax.xformConstraint(prob, varOf, n)
+		b.xformConstraint(n)
 	case adg.KindGather, adg.KindSource, adg.KindSink:
 		// No offset constraints.
 	}
@@ -698,9 +794,9 @@ func (ax *axisSolver) nodeConstraints(prob *lp.Problem, varOf func(coefKey) lp.V
 
 // sectionConstraint emits π_sec = π_whole + lo·stride (or index·stride)
 // on the current axis.
-func (ax *axisSolver) sectionConstraint(prob *lp.Problem, varOf func(coefKey) lp.VarID, eq func(a, b *adg.Port, delta expr.Affine), n *adg.Node, whole, sec *adg.Port) {
-	t := ax.axis
-	label := ax.as.Labels[whole.ID]
+func (b *rlpBuilder) sectionConstraint(n *adg.Node, whole, sec *adg.Port) {
+	t := b.ax.axis
+	label := b.ax.as.Labels[whole.ID]
 	// Find the whole-array body axis mapped to t.
 	d := -1
 	for dd, a := range label.AxisMap {
@@ -711,7 +807,7 @@ func (ax *axisSolver) sectionConstraint(prob *lp.Problem, varOf func(coefKey) lp
 	}
 	if d < 0 {
 		// Space axis of the whole array: positions equal.
-		eq(sec, whole, expr.Const(0))
+		b.eq(sec, whole, expr.Const(0))
 		return
 	}
 	sub := n.Section.Subs[d]
@@ -734,82 +830,75 @@ func (ax *axisSolver) sectionConstraint(prob *lp.Problem, varOf func(coefKey) lp
 		// the edge will pay general communication via the stride phase.
 		delta = expr.Const(0)
 	}
-	eq(sec, whole, delta)
+	b.eq(sec, whole, delta)
+}
+
+// coefOf returns a's coefficient of livs[li], or its constant term for
+// li = -1.
+func coefOf(a expr.Affine, lay *coefLayout, li int) int64 {
+	if li < 0 {
+		return a.ConstPart()
+	}
+	return a.Coef(lay.livs[li])
 }
 
 // xformConstraint ties the coefficients across a loop boundary (§2.2.3).
-func (ax *axisSolver) xformConstraint(prob *lp.Problem, varOf func(coefKey) lp.VarID, n *adg.Node) {
+func (b *rlpBuilder) xformConstraint(n *adg.Node) {
+	lay := b.ax.lay
 	x := n.Xform
-	in, out := n.In[0], n.Out[0]
-	k := x.LIV
-	addEq := func(terms map[lp.VarID]float64, rhs float64) {
-		prob.AddConstraint(terms, lp.EQ, rhs)
-	}
+	in, out := n.In[0].ID, n.Out[0].ID
+	k := lay.liv(x.LIV)
 	switch x.Kind {
 	case adg.XformEntry:
 		// π_in (outer) = π_out at k = lo:
 		// a_in,v = a_out,v + a_out,k·lo_v ; a_in,0 = a_out,0 + a_out,k·lo_0.
-		outerVars := append([]string{""}, in.Space.LIVs...)
-		for _, v := range outerVars {
-			co := map[lp.VarID]float64{}
-			co[varOf(coefKey{port: in.ID, liv: v})] += 1
-			co[varOf(coefKey{port: out.ID, liv: v})] -= 1
-			var lv float64
-			if v == "" {
-				lv = float64(x.Lo.ConstPart())
-			} else {
-				lv = float64(x.Lo.Coef(v))
+		row := func(v int) {
+			b.term(in, v, 1)
+			b.term(out, v, -1)
+			if lv := coefOf(x.Lo, lay, v); lv != 0 {
+				b.term(out, k, -float64(lv))
 			}
-			if lv != 0 {
-				co[varOf(coefKey{port: out.ID, liv: k})] -= lv
-			}
-			addEq(co, 0)
+			b.emit(lp.EQ, 0)
+		}
+		row(-1)
+		for _, v := range lay.portLivs[in] {
+			row(v)
 		}
 	case adg.XformLoopBack:
 		// π_in as a function of k+step equals π_out as a function of k:
 		// a_in,k = a_out,k ; a_in,v + a_in,k·s_v = a_out,v ;
 		// a_in,0 + a_in,k·s_0 = a_out,0.
-		co := map[lp.VarID]float64{}
-		co[varOf(coefKey{port: in.ID, liv: k})] += 1
-		co[varOf(coefKey{port: out.ID, liv: k})] -= 1
-		addEq(co, 0)
-		vars := append([]string{""}, in.Space.LIVs...)
-		for _, v := range vars {
-			if v == k {
-				continue
+		b.term(in, k, 1)
+		b.term(out, k, -1)
+		b.emit(lp.EQ, 0)
+		row := func(v int) {
+			b.term(in, v, 1)
+			b.term(out, v, -1)
+			if sv := coefOf(x.Step, lay, v); sv != 0 {
+				b.term(in, k, float64(sv))
 			}
-			co := map[lp.VarID]float64{}
-			co[varOf(coefKey{port: in.ID, liv: v})] += 1
-			co[varOf(coefKey{port: out.ID, liv: v})] -= 1
-			var sv float64
-			if v == "" {
-				sv = float64(x.Step.ConstPart())
-			} else {
-				sv = float64(x.Step.Coef(v))
+			b.emit(lp.EQ, 0)
+		}
+		row(-1)
+		for _, v := range lay.portLivs[in] {
+			if v != k {
+				row(v)
 			}
-			if sv != 0 {
-				co[varOf(coefKey{port: in.ID, liv: k})] += sv
-			}
-			addEq(co, 0)
 		}
 	case adg.XformExit:
 		// π_out (outer) = π_in at k = last:
 		last := lastIterate(x)
-		outerVars := append([]string{""}, out.Space.LIVs...)
-		for _, v := range outerVars {
-			co := map[lp.VarID]float64{}
-			co[varOf(coefKey{port: out.ID, liv: v})] += 1
-			co[varOf(coefKey{port: in.ID, liv: v})] -= 1
-			var lv float64
-			if v == "" {
-				lv = float64(last.ConstPart())
-			} else {
-				lv = float64(last.Coef(v))
+		row := func(v int) {
+			b.term(out, v, 1)
+			b.term(in, v, -1)
+			if lv := coefOf(last, lay, v); lv != 0 {
+				b.term(in, k, -float64(lv))
 			}
-			if lv != 0 {
-				co[varOf(coefKey{port: in.ID, liv: k})] -= lv
-			}
-			addEq(co, 0)
+			b.emit(lp.EQ, 0)
+		}
+		row(-1)
+		for _, v := range lay.portLivs[out] {
+			row(v)
 		}
 	}
 }
@@ -834,12 +923,18 @@ func (ax *axisSolver) anchors() []int {
 		union(e.Src.ID, e.Dst.ID)
 	}
 	for _, n := range ax.g.Nodes {
-		ports := append(append([]*adg.Port{}, n.In...), n.Out...)
-		for i := 1; i < len(ports); i++ {
-			union(ports[0].ID, ports[i].ID)
+		first := -1
+		for _, ports := range [2][]*adg.Port{n.In, n.Out} {
+			for _, p := range ports {
+				if first < 0 {
+					first = p.ID
+				} else {
+					union(first, p.ID)
+				}
+			}
 		}
 	}
-	seen := map[int]bool{}
+	seen := make([]bool, len(ax.g.Ports))
 	var out []int
 	for _, p := range ax.g.Ports {
 		r := find(p.ID)
@@ -853,8 +948,10 @@ func (ax *axisSolver) anchors() []int {
 
 // refinePartitions implements the zero-crossing moves of the
 // StrategyZeroTrack and StrategyRecursive drivers for singly-nested
-// (rank-1) edges; deeper edges keep their partitions.
-func (ax *axisSolver) refinePartitions(parts map[int][]space.Space, coefs map[coefKey]float64) (map[int][]space.Space, bool) {
+// (rank-1) edges, from the last solve's coefficients; deeper edges keep
+// their partitions.
+func (ax *axisSolver) refinePartitions(parts map[int][]space.Space) (map[int][]space.Space, bool) {
+	lay := ax.lay
 	changed := false
 	out := map[int][]space.Space{}
 	for _, e := range ax.g.Edges {
@@ -868,9 +965,10 @@ func (ax *axisSolver) refinePartitions(parts map[int][]space.Space, coefs map[co
 			continue
 		}
 		liv := e.Space().LIVs[0]
+		li := lay.portLivs[e.Src.ID][0]
 		// Current span coefficients.
-		a0 := int64(math.Round(coefs[coefKey{port: e.Src.ID}] - coefs[coefKey{port: e.Dst.ID}]))
-		a1 := int64(math.Round(coefs[coefKey{port: e.Src.ID, liv: liv}] - coefs[coefKey{port: e.Dst.ID, liv: liv}]))
+		a0 := int64(math.Round(ax.vals[lay.slot(e.Src.ID, -1)] - ax.vals[lay.slot(e.Dst.ID, -1)]))
+		a1 := int64(math.Round(ax.vals[lay.slot(e.Src.ID, li)] - ax.vals[lay.slot(e.Dst.ID, li)]))
 		span := expr.Axpy(a1, liv, a0)
 		if ax.opts.Strategy == StrategyZeroTrack {
 			// Move the (single) boundary to the zero crossing.
@@ -919,23 +1017,25 @@ func samePartition(a, b []space.Space) bool {
 	return true
 }
 
-func roundCoefs(coefs map[coefKey]float64) map[coefKey]int64 {
-	out := map[coefKey]int64{}
-	for k, v := range coefs {
-		out[k] = int64(math.Round(v))
-	}
-	return out
-}
-
-// store writes the rounded per-axis coefficients into the result.
-func (ax *axisSolver) store(res *OffsetResult, ints map[coefKey]int64) {
+// store writes the rounded coefficients into this axis's entry of
+// every port's offset. The terms of all ports are carved from one
+// array.
+func (ax *axisSolver) store() {
+	lay := ax.lay
+	n := 0
 	for _, p := range ax.g.Ports {
-		a := expr.Const(ints[coefKey{port: p.ID}])
-		for _, v := range p.Space.LIVs {
-			a = a.Add(expr.Axpy(ints[coefKey{port: p.ID, liv: v}], v, 0))
+		n += len(lay.portLivs[p.ID])
+	}
+	terms := make([]expr.Term, 0, n)
+	for _, p := range ax.g.Ports {
+		start := len(terms)
+		for k, li := range lay.portLivs[p.ID] {
+			if c := ax.ints[lay.slot(p.ID, li)]; c != 0 {
+				terms = append(terms, expr.Term{Var: p.Space.LIVs[k], Coef: c})
+			}
 		}
-		offs := res.Offsets[p.ID]
-		offs[ax.axis] = a
+		end := len(terms)
+		ax.offs[p.ID][ax.axis] = expr.FromTerms(ax.ints[lay.slot(p.ID, -1)], terms[start:end:end])
 	}
 }
 
@@ -945,37 +1045,43 @@ func (ax *axisSolver) store(res *OffsetResult, ints map[coefKey]int64) {
 // unit moves shift a whole node's ports together: every node constraint
 // is translation-invariant in each coefficient, with transformer nodes
 // needing the compensating cross-coefficient adjustments applied by
-// nodeMove.
-func (ax *axisSolver) steepestDescent(res *OffsetResult, ints map[coefKey]int64) {
-	cur := ExactOffsetCostAxis(ax.g, ax.repl, res.Offsets, ax.axis)
+// nodeMove. A node's coefficients are tried constant term first, then
+// its ports' loop variables in first-seen order.
+func (ax *axisSolver) steepestDescent() {
+	cur := ExactOffsetCostAxis(ax.g, ax.repl, ax.offs, ax.axis)
+	var coeffs []int
 	for pass := 0; pass < 10; pass++ {
 		if ax.ctxErr() != nil {
 			return // descent only improves an already-feasible solution
 		}
 		improved := false
 		for _, n := range ax.g.Nodes {
-			coeffs := map[string]bool{"": true}
-			for _, p := range append(append([]*adg.Port{}, n.In...), n.Out...) {
-				for _, v := range p.Space.LIVs {
-					coeffs[v] = true
+			coeffs = append(coeffs[:0], -1)
+			for _, ports := range [2][]*adg.Port{n.In, n.Out} {
+				for _, p := range ports {
+					for _, li := range ax.lay.portLivs[p.ID] {
+						if !slices.Contains(coeffs, li) {
+							coeffs = append(coeffs, li)
+						}
+					}
 				}
 			}
-			for v := range coeffs {
-				for _, d := range []int64{1, -1} {
-					ax.nodeMove(n, v, d, ints)
-					ax.store(res, ints)
-					if !ax.feasible(res.Offsets) {
-						ax.nodeMove(n, v, -d, ints)
-						ax.store(res, ints)
+			for _, li := range coeffs {
+				for _, d := range [2]int64{1, -1} {
+					ax.nodeMove(n, li, d)
+					ax.store()
+					if !ax.feasible(ax.offs) {
+						ax.nodeMove(n, li, -d)
+						ax.store()
 						continue
 					}
-					c := ExactOffsetCostAxis(ax.g, ax.repl, res.Offsets, ax.axis)
+					c := ExactOffsetCostAxis(ax.g, ax.repl, ax.offs, ax.axis)
 					if c < cur {
 						cur = c
 						improved = true
 					} else {
-						ax.nodeMove(n, v, -d, ints)
-						ax.store(res, ints)
+						ax.nodeMove(n, li, -d)
+						ax.store()
 					}
 				}
 			}
@@ -986,55 +1092,42 @@ func (ax *axisSolver) steepestDescent(res *OffsetResult, ints map[coefKey]int64)
 	}
 }
 
-// nodeMove shifts coefficient v of every port of node n by d, applying
-// the compensating adjustments transformer constraints require when one
-// side of the node lacks the coefficient.
-func (ax *axisSolver) nodeMove(n *adg.Node, v string, d int64, ints map[coefKey]int64) {
-	has := func(p *adg.Port) bool {
-		if v == "" {
-			return true
-		}
-		for _, l := range p.Space.LIVs {
-			if l == v {
-				return true
+// nodeMove shifts the coefficient of livs[li] (the constant term for
+// li = -1) of every port of node n by d, applying the compensating
+// adjustments transformer constraints require when one side of the node
+// lacks the coefficient.
+func (ax *axisSolver) nodeMove(n *adg.Node, li int, d int64) {
+	lay, ints := ax.lay, ax.ints
+	for _, ports := range [2][]*adg.Port{n.In, n.Out} {
+		for _, p := range ports {
+			if li < 0 || lay.hasLiv(p.ID, li) {
+				ints[lay.slot(p.ID, li)] += d
 			}
 		}
-		return false
 	}
-	for _, p := range append(append([]*adg.Port{}, n.In...), n.Out...) {
-		if has(p) {
-			ints[coefKey{port: p.ID, liv: v}] += d
-		}
-	}
-	if n.Kind != adg.KindXform || v != n.Xform.LIV {
+	if n.Kind != adg.KindXform || li < 0 || lay.livs[li] != n.Xform.LIV {
 		return
 	}
 	// The outer-side port lacks the LIV coefficient; compensate its
 	// other coefficients so the entry/exit evaluation constraint holds.
+	shift := func(port int, a expr.Affine) {
+		ints[lay.slot(port, -1)] += d * a.ConstPart()
+		a.EachTerm(func(t expr.Term) bool {
+			ints[lay.slot(port, lay.liv(t.Var))] += d * t.Coef
+			return true
+		})
+	}
 	x := n.Xform
 	switch x.Kind {
 	case adg.XformEntry:
 		// a_in,0 = a_out,0 + a_out,k·lo: out.k moved by d ⇒ in += d·lo.
-		in := n.In[0]
-		ints[coefKey{port: in.ID}] += d * x.Lo.ConstPart()
-		for _, t := range x.Lo.Terms() {
-			ints[coefKey{port: in.ID, liv: t.Var}] += d * t.Coef
-		}
+		shift(n.In[0].ID, x.Lo)
 	case adg.XformExit:
-		out := n.Out[0]
-		last := lastIterate(x)
-		ints[coefKey{port: out.ID}] += d * last.ConstPart()
-		for _, t := range last.Terms() {
-			ints[coefKey{port: out.ID, liv: t.Var}] += d * t.Coef
-		}
+		shift(n.Out[0].ID, lastIterate(x))
 	case adg.XformLoopBack:
 		// a_in,v + a_in,k·s_v = a_out,v: both k's moved by d ⇒
 		// out gains d·s_v on every other coefficient.
-		out := n.Out[0]
-		ints[coefKey{port: out.ID}] += d * x.Step.ConstPart()
-		for _, t := range x.Step.Terms() {
-			ints[coefKey{port: out.ID, liv: t.Var}] += d * t.Coef
-		}
+		shift(n.Out[0].ID, x.Step)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/adg"
-	"repro/internal/expr"
 )
 
 // This file is the partition-solve-reassemble layer between Align and
@@ -138,7 +137,7 @@ func reassembleRegions(g *adg.Graph, part *adg.Partition, results []*Result, hit
 		PerAxis:  make([]int64, g.TemplateRank),
 		CutEdges: make([][]*adg.Edge, g.TemplateRank),
 	}
-	off := &OffsetResult{Offsets: make(map[int][]expr.Affine, len(g.Ports))}
+	off := newOffsetResult(g)
 	out := &Result{Graph: g, AxisStride: as, Repl: repl, Offset: off, Regions: len(results)}
 
 	var generalIDs []int
@@ -147,7 +146,7 @@ func reassembleRegions(g *adg.Graph, part *adg.Partition, results []*Result, hit
 		reg := part.Regions[ri]
 		for pi, parentID := range reg.Ports {
 			as.Labels[parentID] = r.AxisStride.Labels[pi]
-			off.Offsets[parentID] = append([]expr.Affine{}, r.Offset.Offsets[pi]...)
+			copy(off.Offsets[parentID], r.Offset.Offsets[pi])
 			if v, ok := r.Repl.PortRepl[pi]; ok {
 				repl.PortRepl[parentID] = append([]bool{}, v...)
 			}

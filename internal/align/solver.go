@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/adg"
-	"repro/internal/lp"
 )
 
 // OffsetSolver solves the per-template-axis offset RLPs, fanning the
@@ -16,10 +15,10 @@ import (
 // only the objective changes between rounds, so the factored basis stays
 // primal feasible and each re-solve runs phase 2 only).
 //
-// Every axis owns a private axisSolver, lp.Arena, lp.Stats, and result,
-// so axes never share mutable state; Solve merges the per-axis results
-// in axis order, which makes the outcome byte-identical for every
-// Parallelism setting.
+// Every axis owns a private axisSolver, lp.Arena, lp.Stats, and tally,
+// and writes only its own entry of each port's offsets in the one
+// result; Solve sums the per-axis tallies in axis order, which makes
+// the outcome byte-identical for every Parallelism setting.
 type OffsetSolver struct {
 	g    *adg.Graph
 	as   *AxisStrideResult
@@ -52,9 +51,12 @@ func newOffsetSolver(g *adg.Graph, as *AxisStrideResult, opts OffsetOptions, reu
 	warm := reuse &&
 		(opts.Strategy == StrategyFixed || opts.Strategy == StrategyUnroll || opts.Strategy == StrategySingle)
 	s := &OffsetSolver{g: g, as: as, opts: opts}
+	lay := newCoefLayout(g)
+	n := lay.slots(len(g.Ports))
 	for t := 0; t < g.TemplateRank; t++ {
 		s.axes = append(s.axes, &axisState{
-			ax: &axisSolver{g: g, as: as, axis: t, opts: opts, warmAll: warm},
+			ax: &axisSolver{g: g, as: as, axis: t, opts: opts, lay: lay, warmAll: warm,
+				vals: make([]float64, n), ints: make([]int64, n)},
 		})
 	}
 	return s
@@ -66,20 +68,19 @@ func (s *OffsetSolver) Solve(repl *ReplResult) (*OffsetResult, error) {
 	if repl == nil {
 		repl = NoReplication(s.g)
 	}
+	res := newOffsetResult(s.g)
 	n := len(s.axes)
-	perAxis := make([]*OffsetResult, n)
+	// perAxis holds each axis's counts; their Offsets stay nil.
+	perAxis := make([]OffsetResult, n)
 	errs := make([]error, n)
 	run := func(t int) {
 		st := s.axes[t]
 		st.ax.repl = repl
-		st.ax.stats = &lp.Stats{}
-		r := newOffsetResult(s.g)
-		if err := st.solve(r); err != nil {
+		st.ax.offs = res.Offsets
+		st.ax.stats = &perAxis[t].Stats
+		if err := st.solve(&perAxis[t]); err != nil {
 			errs[t] = fmt.Errorf("align: axis %d: %w", t, err)
-			return
 		}
-		r.Stats = *st.ax.stats
-		perAxis[t] = r
 	}
 	if par := min(s.opts.Parallelism, n); par <= 1 {
 		for t := 0; t < n; t++ {
@@ -104,9 +105,8 @@ func (s *OffsetSolver) Solve(repl *ReplResult) (*OffsetResult, error) {
 		}
 	}
 	// Deterministic merge in axis order.
-	res := newOffsetResult(s.g)
-	for t, r := range perAxis {
-		adg.MergeOffsetAxis(res.Offsets, r.Offsets, t)
+	for t := range perAxis {
+		r := &perAxis[t]
 		res.Approx += r.Approx
 		res.Solves += r.Solves
 		if r.LPVariables > res.LPVariables {
@@ -128,16 +128,20 @@ func (s *OffsetSolver) Solve(repl *ReplResult) (*OffsetResult, error) {
 	return res, nil
 }
 
-// releaseScratch returns the per-axis tableau arenas to the scratch
-// pool (a no-op when the solver runs without one). Call only once the
-// solver is finished: warm bases and live tableaux read arena storage,
-// so releasing between rounds would hand their memory to another solve.
+// releaseScratch returns the per-axis and per-block tableau arenas to
+// the scratch pool. Call only once the solver is finished: warm bases
+// and live tableaux read arena storage, so releasing between rounds
+// would hand their memory to another solve.
 func (s *OffsetSolver) releaseScratch() {
 	for _, st := range s.axes {
 		if st.ax.arena != nil {
 			s.opts.scratch.putArena(st.ax.arena)
 			st.ax.arena = nil
 		}
+		for _, ar := range st.ax.blockArenas {
+			s.opts.scratch.putArena(ar)
+		}
+		st.ax.blockArenas = nil
 		st.rlp = nil
 	}
 }
@@ -156,19 +160,17 @@ func (st *axisState) solve(res *OffsetResult) error {
 		// Only the objective changes across rounds: a θ term counts 1
 		// when its edge is live under the current labeling, 0 when the
 		// edge has a replicated endpoint (§5.1).
-		for eid, ths := range ax.thetas {
+		for _, th := range st.rlp.thetas {
 			cost := 0.0
-			if ax.liveEdge(ax.g.Edges[eid]) {
+			if ax.liveEdge(th.e) {
 				cost = 1
 			}
-			for _, th := range ths {
-				st.rlp.setCost(th, cost)
-			}
+			st.rlp.setCost(th.v, cost)
 		}
 	}
-	coefs, obj, err := st.rlp.solve(ax, res)
+	obj, err := st.rlp.solve(ax, res)
 	if err != nil {
 		return err
 	}
-	return ax.finish(res, coefs, obj)
+	return ax.finish(res, obj)
 }

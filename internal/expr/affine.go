@@ -7,7 +7,6 @@ package expr
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -47,7 +46,21 @@ func NewAffine(c int64, coefs map[string]int64) Affine {
 			terms = append(terms, Term{Var: v, Coef: k})
 		}
 	}
-	sort.Slice(terms, func(i, j int) bool { return terms[i].Var < terms[j].Var })
+	return FromTerms(c, terms)
+}
+
+// FromTerms builds the affine form c + Σ terms. The terms must name
+// distinct variables with nonzero coefficients, in any order; FromTerms
+// sorts them in place and keeps the slice.
+func FromTerms(c int64, terms []Term) Affine {
+	if len(terms) == 0 {
+		return Affine{c: c}
+	}
+	for i := 1; i < len(terms); i++ {
+		for j := i; j > 0 && terms[j].Var < terms[j-1].Var; j-- {
+			terms[j], terms[j-1] = terms[j-1], terms[j]
+		}
+	}
 	return Affine{c: c, terms: terms}
 }
 

@@ -193,11 +193,11 @@ type warmState struct {
 // falls back to a full cold Solve. The current basis stays primal
 // feasible under any objective change, so only phase 2 runs.
 func (p *Problem) WarmSolve() (*Solution, error) {
-	if p.keep && p.sws != nil && p.sws.nVars == len(p.names) && p.sws.nCons == len(p.cons) {
+	if p.keep && p.sws != nil && p.sws.nVars == len(p.costs) && p.sws.nCons == len(p.cons) {
 		return p.warmSolveSparse()
 	}
 	ws := p.ws
-	if !p.keep || ws == nil || ws.nVars != len(p.names) || ws.nCons != len(p.cons) {
+	if !p.keep || ws == nil || ws.nVars != len(p.costs) || ws.nCons != len(p.cons) {
 		return p.Solve()
 	}
 	if ws.cost == nil {

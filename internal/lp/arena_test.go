@@ -13,7 +13,7 @@ func buildRandomLP(rng *rand.Rand, nv, nc int) *Problem {
 	feas := make([]float64, nv)
 	for v := 0; v < nv; v++ {
 		free := rng.Intn(2) == 0
-		p.AddVariable("x", 1+rng.Float64(), free)
+		p.AddVariable(1+rng.Float64(), free)
 		feas[v] = float64(rng.Intn(5))
 		if free && rng.Intn(2) == 0 {
 			feas[v] = -feas[v]
@@ -103,7 +103,7 @@ func TestWarmSolveMatchesColdResolve(t *testing.T) {
 // cold solve instead of reusing the stale tableau.
 func TestWarmSolveFallsBackAfterStructuralChange(t *testing.T) {
 	p := NewProblem()
-	x := p.AddVariable("x", 1, false)
+	x := p.AddVariable(1, false)
 	p.AddConstraint(map[VarID]float64{x: 1}, GE, 2)
 	p.KeepBasis()
 	sol := solveOrFail(t, p)
@@ -125,8 +125,8 @@ func TestWarmSolveFallsBackAfterStructuralChange(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	var st Stats
 	p := NewProblem()
-	x := p.AddVariable("x", 1, false)
-	y := p.AddVariable("y", 2, false)
+	x := p.AddVariable(1, false)
+	y := p.AddVariable(2, false)
 	p.AddConstraint(map[VarID]float64{x: 1, y: 1}, GE, 4)
 	p.SetStats(&st)
 	p.KeepBasis()

@@ -13,7 +13,7 @@ func budgetProblem(n int) *Problem {
 	p := NewProblem()
 	vars := make([]VarID, n)
 	for i := range vars {
-		vars[i] = p.AddVariable("x", 1, false)
+		vars[i] = p.AddVariable(1, false)
 	}
 	for i := 0; i < n; i++ {
 		co := map[VarID]float64{vars[i]: 1, vars[(i+1)%n]: 1}

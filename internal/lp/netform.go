@@ -70,7 +70,7 @@ type NetForm struct {
 // minimized over the equality-constrained potentials x — the dual of a
 // min-cost circulation.
 func (p *Problem) NetworkForm() (*NetForm, bool) {
-	nv := len(p.names)
+	nv := len(p.costs)
 	// Pass 1: collect pins. Conflicting pins mean the problem is
 	// infeasible — leave that diagnosis to the simplex.
 	pinned := make([]bool, nv)

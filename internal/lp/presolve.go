@@ -58,7 +58,7 @@ func (r *rowAcc) clear() {
 }
 
 func presolveEq(p *Problem) *presolved {
-	n := len(p.names)
+	n := len(p.costs)
 	var ineqs []constraint
 	for _, c := range p.cons {
 		if c.op != EQ {
@@ -172,7 +172,7 @@ func presolveEq(p *Problem) *presolved {
 		if eliminated[v] {
 			ps.varMap[v] = -1
 		} else {
-			ps.varMap[v] = int(red.AddVariable(p.names[v], 0, p.free[v]))
+			ps.varMap[v] = int(red.AddVariable(0, p.free[v]))
 		}
 	}
 	// Objective: substitute eliminated variables (the constant shift
@@ -253,7 +253,7 @@ func mergeScaled(base []ent, skip int, co float64, add []ent) []ent {
 
 // recover maps a reduced solution back to original variable values.
 func (ps *presolved) recover(p *Problem, sol *Solution) *Solution {
-	n := len(p.names)
+	n := len(p.costs)
 	values := make([]float64, n)
 	for v := 0; v < n; v++ {
 		if ps.varMap[v] >= 0 {

@@ -9,10 +9,10 @@ import (
 func TestPresolveEliminatesChains(t *testing.T) {
 	// x0 = 0, x1 = x0 + 5, x2 = x1 - 2; min θ ≥ |x2 - 1|.
 	p := NewProblem()
-	x0 := p.AddVariable("x0", 0, true)
-	x1 := p.AddVariable("x1", 0, true)
-	x2 := p.AddVariable("x2", 0, true)
-	th := p.AddVariable("th", 1, false)
+	x0 := p.AddVariable(0, true)
+	x1 := p.AddVariable(0, true)
+	x2 := p.AddVariable(0, true)
+	th := p.AddVariable(1, false)
 	p.AddConstraint(map[VarID]float64{x0: 1}, EQ, 0)
 	p.AddConstraint(map[VarID]float64{x1: 1, x0: -1}, EQ, 5)
 	p.AddConstraint(map[VarID]float64{x2: 1, x1: -1}, EQ, -2)
@@ -41,7 +41,7 @@ func TestPresolveEliminatesChains(t *testing.T) {
 func TestPresolveDetectsInconsistency(t *testing.T) {
 	// x = 1 and x = 2 → infeasible, caught at presolve.
 	p := NewProblem()
-	x := p.AddVariable("x", 0, true)
+	x := p.AddVariable(0, true)
 	p.AddConstraint(map[VarID]float64{x: 1}, EQ, 1)
 	p.AddConstraint(map[VarID]float64{x: 1}, EQ, 2)
 	if _, err := p.Solve(); err != ErrInfeasible {
@@ -52,8 +52,8 @@ func TestPresolveDetectsInconsistency(t *testing.T) {
 func TestPresolveRedundantRows(t *testing.T) {
 	// Duplicate equalities must be dropped, not declared inconsistent.
 	p := NewProblem()
-	x := p.AddVariable("x", 1, true)
-	y := p.AddVariable("y", 1, true)
+	x := p.AddVariable(1, true)
+	y := p.AddVariable(1, true)
 	p.AddConstraint(map[VarID]float64{x: 1, y: 1}, EQ, 4)
 	p.AddConstraint(map[VarID]float64{x: 2, y: 2}, EQ, 8) // same row × 2
 	p.AddConstraint(map[VarID]float64{x: 1, y: -1}, EQ, 0)
@@ -70,8 +70,8 @@ func TestPresolveKeepsNonnegEqualities(t *testing.T) {
 	// An equality over only nonnegative variables cannot be eliminated by
 	// free-variable substitution; it must survive to the simplex.
 	p := NewProblem()
-	x := p.AddVariable("x", 1, false)
-	y := p.AddVariable("y", 2, false)
+	x := p.AddVariable(1, false)
+	y := p.AddVariable(2, false)
 	p.AddConstraint(map[VarID]float64{x: 1, y: 1}, EQ, 10)
 	sol, err := p.Solve()
 	if err != nil {
@@ -92,7 +92,7 @@ func TestPresolveRandomEquivalence(t *testing.T) {
 		n := 3 + rng.Intn(3)
 		xs := make([]VarID, n)
 		for i := range xs {
-			xs[i] = p.AddVariable("x", 0, true)
+			xs[i] = p.AddVariable(0, true)
 		}
 		// Chain: x0 = c, x_{i+1} = x_i + d_i.
 		p.AddConstraint(map[VarID]float64{xs[0]: 1}, EQ, float64(rng.Intn(7)-3))
@@ -101,7 +101,7 @@ func TestPresolveRandomEquivalence(t *testing.T) {
 		}
 		// θ terms pulling the last variable toward random targets.
 		for j := 0; j < 2; j++ {
-			th := p.AddVariable("th", float64(1+rng.Intn(3)), false)
+			th := p.AddVariable(float64(1+rng.Intn(3)), false)
 			tgt := float64(rng.Intn(11) - 5)
 			p.AddConstraint(map[VarID]float64{th: 1, xs[n-1]: -1}, GE, -tgt)
 			p.AddConstraint(map[VarID]float64{th: 1, xs[n-1]: 1}, GE, tgt)

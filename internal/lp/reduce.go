@@ -118,7 +118,7 @@ func (r *Reduction) merge(a, b int, d float64) (bool, bool) {
 // contradiction or possible unboundedness (the simplex owns error
 // diagnosis), or nothing was reduced.
 func (p *Problem) Reduce() (*Reduction, bool) {
-	n := len(p.names)
+	n := len(p.costs)
 	if n == 0 || len(p.cons) == 0 {
 		return nil, false
 	}
@@ -391,7 +391,7 @@ func (p *Problem) Reduce() (*Reduction, bool) {
 		}
 		r.blockOf[v] = bi
 		r.colOf[v] = int32(len(blk.Vars))
-		blk.Prob.AddVariable(p.names[v], aggCost[v], p.free[v])
+		blk.Prob.AddVariable(aggCost[v], p.free[v])
 		blk.Vars = append(blk.Vars, VarID(v))
 	}
 	// Distribute rows in original order; constraints are built

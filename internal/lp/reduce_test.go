@@ -30,10 +30,10 @@ func TestReduceAndPostsolve(t *testing.T) {
 			name: "pins fold through a difference row",
 			build: func() *Problem {
 				p := NewProblem()
-				x0 := p.AddVariable("x0", 0, true)
-				x1 := p.AddVariable("x1", 0, true)
-				x2 := p.AddVariable("x2", 0, true)
-				th := p.AddVariable("th", 1, false)
+				x0 := p.AddVariable(0, true)
+				x1 := p.AddVariable(0, true)
+				x2 := p.AddVariable(0, true)
+				th := p.AddVariable(1, false)
 				p.AddConstraint(map[VarID]float64{x1: 1, x0: -1}, EQ, 3)
 				p.AddConstraint(map[VarID]float64{x0: 1}, EQ, 2)
 				p.AddConstraint(map[VarID]float64{th: 1, x2: -1, x1: 1}, GE, 0)
@@ -62,9 +62,9 @@ func TestReduceAndPostsolve(t *testing.T) {
 			name: "chain contraction sums the class cost",
 			build: func() *Problem {
 				p := NewProblem()
-				x0 := p.AddVariable("x0", 2, true)
-				x1 := p.AddVariable("x1", 3, true)
-				x2 := p.AddVariable("x2", -1, true)
+				x0 := p.AddVariable(2, true)
+				x1 := p.AddVariable(3, true)
+				x2 := p.AddVariable(-1, true)
 				p.AddConstraint(map[VarID]float64{x1: 1, x0: -1}, EQ, 1)
 				p.AddConstraint(map[VarID]float64{x2: 1, x1: -1}, EQ, 4)
 				p.AddConstraint(map[VarID]float64{x2: 1}, GE, 10)
@@ -91,9 +91,9 @@ func TestReduceAndPostsolve(t *testing.T) {
 			build: func() *Problem {
 				p := NewProblem()
 				for i := 0; i < 4; i++ {
-					p.AddVariable("x", 1, false)
+					p.AddVariable(1, false)
 				}
-				x4 := p.AddVariable("x4", 0, true)
+				x4 := p.AddVariable(0, true)
 				p.AddConstraint(map[VarID]float64{2: 1, 3: 1}, GE, 3)
 				p.AddConstraint(map[VarID]float64{0: 1, 1: 2}, GE, 4)
 				p.AddConstraint(map[VarID]float64{x4: 1}, EQ, 1)
@@ -116,8 +116,8 @@ func TestReduceAndPostsolve(t *testing.T) {
 			name: "declines a contradictory chain",
 			build: func() *Problem {
 				p := NewProblem()
-				x0 := p.AddVariable("x0", 0, true)
-				x1 := p.AddVariable("x1", 0, true)
+				x0 := p.AddVariable(0, true)
+				x1 := p.AddVariable(0, true)
 				p.AddConstraint(map[VarID]float64{x0: 1, x1: -1}, EQ, 1)
 				p.AddConstraint(map[VarID]float64{x0: 1, x1: -1}, EQ, 2)
 				return p
@@ -128,7 +128,7 @@ func TestReduceAndPostsolve(t *testing.T) {
 			name: "declines a nonnegative variable fixed negative",
 			build: func() *Problem {
 				p := NewProblem()
-				y := p.AddVariable("y", 1, false)
+				y := p.AddVariable(1, false)
 				p.AddConstraint(map[VarID]float64{y: 1}, EQ, -3)
 				return p
 			},
@@ -141,11 +141,25 @@ func TestReduceAndPostsolve(t *testing.T) {
 			name: "declines an unbounded ray",
 			build: func() *Problem {
 				p := NewProblem()
-				x0 := p.AddVariable("x0", 1, true)
-				x1 := p.AddVariable("x1", 0, true)
-				y := p.AddVariable("y", 1, false)
+				x0 := p.AddVariable(1, true)
+				x1 := p.AddVariable(0, true)
+				y := p.AddVariable(1, false)
 				p.AddConstraint(map[VarID]float64{x1: 1, x0: -1}, EQ, 2)
 				p.AddConstraint(map[VarID]float64{y: 1}, GE, 1)
+				return p
+			},
+			solveErr: ErrUnbounded,
+		},
+		{
+			// The same ray with no other row: the direct Solve's
+			// equality presolve eliminates the only row, and the
+			// zero-row simplex must still report the ray.
+			name: "declines an unbounded ray with no other row",
+			build: func() *Problem {
+				p := NewProblem()
+				x0 := p.AddVariable(1, true)
+				x1 := p.AddVariable(0, true)
+				p.AddConstraint(map[VarID]float64{x1: 1, x0: -1}, EQ, 2)
 				return p
 			},
 			solveErr: ErrUnbounded,
@@ -154,8 +168,8 @@ func TestReduceAndPostsolve(t *testing.T) {
 			name: "declines when nothing reduces",
 			build: func() *Problem {
 				p := NewProblem()
-				x := p.AddVariable("x", 0, true)
-				th := p.AddVariable("th", 1, false)
+				x := p.AddVariable(0, true)
+				th := p.AddVariable(1, false)
 				p.AddConstraint(map[VarID]float64{th: 1, x: -1}, GE, -2)
 				p.AddConstraint(map[VarID]float64{th: 1, x: 1}, GE, 2)
 				return p

@@ -53,10 +53,13 @@ type VarID int
 // Problem is a linear program under construction: minimize cᵀx subject to
 // linear constraints, with each variable either nonnegative or free.
 type Problem struct {
-	names []string
 	costs []float64
 	free  []bool
 	cons  []constraint
+	// ents is the slab every row's entries are carved from: AddRow
+	// appends a row and caps its subslice, so rows added after a
+	// reallocation start a new block while earlier rows keep theirs.
+	ents []ent
 
 	arena *Arena           // optional scratch storage for the tableau
 	stats *Stats           // optional effort accounting
@@ -145,11 +148,12 @@ func (c *constraint) coef(v int) float64 {
 	return 0
 }
 
-// sortEnts orders entries by variable. Rows hold a handful of entries,
-// where insertion sort beats sort.Slice's reflection overhead.
+// sortEnts orders entries by variable, stably: entries of one variable
+// keep their order. Rows hold a handful of entries, where insertion sort
+// beats sort.SliceStable's reflection overhead.
 func sortEnts(es []ent) {
 	if len(es) > 16 {
-		sort.Slice(es, func(x, y int) bool { return es[x].v < es[y].v })
+		sort.SliceStable(es, func(x, y int) bool { return es[x].v < es[y].v })
 		return
 	}
 	for x := 1; x < len(es); x++ {
@@ -179,15 +183,14 @@ func NewProblem() *Problem { return &Problem{} }
 
 // AddVariable adds a decision variable with the given objective cost.
 // If free is true the variable ranges over all reals; otherwise x ≥ 0.
-func (p *Problem) AddVariable(name string, cost float64, free bool) VarID {
-	p.names = append(p.names, name)
+func (p *Problem) AddVariable(cost float64, free bool) VarID {
 	p.costs = append(p.costs, cost)
 	p.free = append(p.free, free)
-	return VarID(len(p.names) - 1)
+	return VarID(len(p.costs) - 1)
 }
 
 // NumVariables returns the number of variables added so far.
-func (p *Problem) NumVariables() int { return len(p.names) }
+func (p *Problem) NumVariables() int { return len(p.costs) }
 
 // NumConstraints returns the number of constraints added so far.
 func (p *Problem) NumConstraints() int { return len(p.cons) }
@@ -225,19 +228,51 @@ func (p *Problem) Residual(vals []float64) float64 {
 	return worst
 }
 
-// AddConstraint adds Σ coefs[v]·x_v (op) rhs. Coefficient maps are copied.
-func (p *Problem) AddConstraint(coefs map[VarID]float64, op Op, rhs float64) {
-	es := make([]ent, 0, len(coefs))
-	for v, c := range coefs {
-		if int(v) < 0 || int(v) >= len(p.names) {
-			panic(fmt.Sprintf("lp: constraint references unknown variable %d", v))
+// Term is one coefficient A·x_V of a row under construction.
+type Term struct {
+	V VarID
+	A float64
+}
+
+// AddRow adds Σ terms[k].A·x_{terms[k].V} (op) rhs. Terms may come in
+// any order and may repeat a variable: the row keeps its entries sorted
+// by variable, sums a repeated variable's coefficients in the order
+// they were given, and drops zero coefficients. terms is copied.
+func (p *Problem) AddRow(terms []Term, op Op, rhs float64) {
+	start := len(p.ents)
+	for _, t := range terms {
+		if int(t.V) < 0 || int(t.V) >= len(p.costs) {
+			panic(fmt.Sprintf("lp: constraint references unknown variable %d", t.V))
 		}
-		if c != 0 {
-			es = append(es, ent{v: int(v), a: c})
+		p.ents = append(p.ents, ent{v: int(t.V), a: t.A})
+	}
+	es := p.ents[start:]
+	sortEnts(es)
+	out := es[:0]
+	for _, e := range es {
+		if len(out) > 0 && out[len(out)-1].v == e.v {
+			out[len(out)-1].a += e.a
+		} else {
+			out = append(out, e)
 		}
 	}
-	sortEnts(es)
-	p.cons = append(p.cons, constraint{ents: es, op: op, rhs: rhs})
+	kept := out[:0]
+	for _, e := range out {
+		if e.a != 0 {
+			kept = append(kept, e)
+		}
+	}
+	p.ents = p.ents[:start+len(kept)]
+	p.cons = append(p.cons, constraint{ents: kept[:len(kept):len(kept)], op: op, rhs: rhs})
+}
+
+// AddConstraint adds Σ coefs[v]·x_v (op) rhs through AddRow.
+func (p *Problem) AddConstraint(coefs map[VarID]float64, op Op, rhs float64) {
+	terms := make([]Term, 0, len(coefs))
+	for v, c := range coefs {
+		terms = append(terms, Term{V: v, A: c})
+	}
+	p.AddRow(terms, op, rhs)
 }
 
 // Solution holds an optimal solution of a Problem.
@@ -320,9 +355,9 @@ func (t *tableau) nTotal() int { return t.artIdx + len(t.a) }
 // artificial basic otherwise.
 func (p *Problem) standardForm(ar *Arena) tableau {
 	var cols []colref
-	colOf := ar.ints(len(p.names))    // first column of variable
-	negColOf := ar.ints(len(p.names)) // second column for free vars
-	for v := range p.names {
+	colOf := ar.ints(len(p.costs))    // first column of variable
+	negColOf := ar.ints(len(p.costs)) // second column for free vars
+	for v := range p.costs {
 		colOf[v] = len(cols)
 		cols = append(cols, colref{orig: VarID(v), sign: 1})
 		if p.free[v] {
@@ -524,7 +559,7 @@ func (p *Problem) solveRaw() (*Solution, error) {
 	}
 
 	if p.keep {
-		p.ws = &warmState{tableau: t, nz: nz, nVars: len(p.names), nCons: len(p.cons)}
+		p.ws = &warmState{tableau: t, nz: nz, nVars: len(p.costs), nCons: len(p.cons)}
 	}
 	return p.extract(&t), nil
 }
@@ -550,7 +585,7 @@ func phase2Cost(cost, varCosts []float64, t *tableau) {
 // basis and unperturbed RHS. The returned slices are freshly allocated
 // (never arena storage), so solutions outlive later solves.
 func (p *Problem) extract(t *tableau) *Solution {
-	values := make([]float64, len(p.names))
+	values := make([]float64, len(p.costs))
 	for i, bj := range t.basis {
 		if bj < t.nStruct {
 			values[t.cols[bj].orig] += t.cols[bj].sign * t.b2[i]
@@ -779,24 +814,4 @@ func pivot(a [][]float64, b, b2 []float64, basis []int, leave, enter int, nz []i
 	}
 	basis[leave] = enter
 	return nz
-}
-
-// Dump renders the problem in LP-like text format for debugging.
-func (p *Problem) Dump() string {
-	var sb []byte
-	add := func(s string) { sb = append(sb, s...) }
-	add("min:")
-	for v, c := range p.costs {
-		if c != 0 {
-			add(fmt.Sprintf(" %+g*%s%d", c, p.names[v], v))
-		}
-	}
-	add("\n")
-	for _, c := range p.cons {
-		for _, e := range c.ents {
-			add(fmt.Sprintf(" %+g*%s%d", e.a, p.names[e.v], e.v))
-		}
-		add(fmt.Sprintf(" %s %g\n", c.op, c.rhs))
-	}
-	return string(sb)
 }

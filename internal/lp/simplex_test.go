@@ -22,8 +22,8 @@ func almost(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
 func TestSimpleMin(t *testing.T) {
 	// min x + y s.t. x + y >= 2, x >= 0, y >= 0 → obj 2.
 	p := NewProblem()
-	x := p.AddVariable("x", 1, false)
-	y := p.AddVariable("y", 1, false)
+	x := p.AddVariable(1, false)
+	y := p.AddVariable(1, false)
 	p.AddConstraint(map[VarID]float64{x: 1, y: 1}, GE, 2)
 	sol := solveOrFail(t, p)
 	if !almost(sol.Objective, 2) {
@@ -34,8 +34,8 @@ func TestSimpleMin(t *testing.T) {
 func TestEqualityConstraint(t *testing.T) {
 	// min 2x + 3y s.t. x + y = 10, x <= 4 → x=4, y=6, obj 26.
 	p := NewProblem()
-	x := p.AddVariable("x", 2, false)
-	y := p.AddVariable("y", 3, false)
+	x := p.AddVariable(2, false)
+	y := p.AddVariable(3, false)
 	p.AddConstraint(map[VarID]float64{x: 1, y: 1}, EQ, 10)
 	p.AddConstraint(map[VarID]float64{x: 1}, LE, 4)
 	sol := solveOrFail(t, p)
@@ -51,8 +51,8 @@ func TestFreeVariable(t *testing.T) {
 	// min |x - 5| encoded as min t s.t. t >= x-5, t >= 5-x, x free,
 	// with x pinned by x = 3 → t = 2.
 	p := NewProblem()
-	x := p.AddVariable("x", 0, true)
-	th := p.AddVariable("t", 1, false)
+	x := p.AddVariable(0, true)
+	th := p.AddVariable(1, false)
 	p.AddConstraint(map[VarID]float64{th: 1, x: -1}, GE, -5)
 	p.AddConstraint(map[VarID]float64{th: 1, x: 1}, GE, 5)
 	p.AddConstraint(map[VarID]float64{x: 1}, EQ, 3)
@@ -65,8 +65,8 @@ func TestFreeVariable(t *testing.T) {
 func TestFreeVariableNegativeOptimum(t *testing.T) {
 	// min t s.t. t >= x+7, t >= -x-7, x free → x = -7, t = 0.
 	p := NewProblem()
-	x := p.AddVariable("x", 0, true)
-	th := p.AddVariable("t", 1, false)
+	x := p.AddVariable(0, true)
+	th := p.AddVariable(1, false)
 	p.AddConstraint(map[VarID]float64{th: 1, x: -1}, GE, 7)
 	p.AddConstraint(map[VarID]float64{th: 1, x: 1}, GE, -7)
 	sol := solveOrFail(t, p)
@@ -80,7 +80,7 @@ func TestFreeVariableNegativeOptimum(t *testing.T) {
 
 func TestInfeasible(t *testing.T) {
 	p := NewProblem()
-	x := p.AddVariable("x", 1, false)
+	x := p.AddVariable(1, false)
 	p.AddConstraint(map[VarID]float64{x: 1}, GE, 5)
 	p.AddConstraint(map[VarID]float64{x: 1}, LE, 3)
 	if _, err := p.Solve(); err != ErrInfeasible {
@@ -91,7 +91,7 @@ func TestInfeasible(t *testing.T) {
 func TestUnbounded(t *testing.T) {
 	// min -x s.t. x >= 0 (no upper bound) → unbounded.
 	p := NewProblem()
-	x := p.AddVariable("x", -1, false)
+	x := p.AddVariable(-1, false)
 	p.AddConstraint(map[VarID]float64{x: 1}, GE, 0)
 	if _, err := p.Solve(); err != ErrUnbounded {
 		t.Errorf("err = %v, want ErrUnbounded", err)
@@ -103,11 +103,11 @@ func TestDegenerateTranslationRay(t *testing.T) {
 	// differences; the uniform-translation ray must not be reported as
 	// unbounded. min 5θ12 + 3θ23, θ12 ≥ |π1−π2|, θ23 ≥ |π2−π3+4|.
 	p := NewProblem()
-	p1 := p.AddVariable("p1", 0, true)
-	p2 := p.AddVariable("p2", 0, true)
-	p3 := p.AddVariable("p3", 0, true)
-	t12 := p.AddVariable("t12", 5, false)
-	t23 := p.AddVariable("t23", 3, false)
+	p1 := p.AddVariable(0, true)
+	p2 := p.AddVariable(0, true)
+	p3 := p.AddVariable(0, true)
+	t12 := p.AddVariable(5, false)
+	t23 := p.AddVariable(3, false)
 	p.AddConstraint(map[VarID]float64{t12: 1, p1: -1, p2: 1}, GE, 0)
 	p.AddConstraint(map[VarID]float64{t12: 1, p1: 1, p2: -1}, GE, 0)
 	p.AddConstraint(map[VarID]float64{t23: 1, p2: -1, p3: 1}, GE, -4)
@@ -121,9 +121,9 @@ func TestDegenerateTranslationRay(t *testing.T) {
 func TestLargeCoefficientRows(t *testing.T) {
 	// Mixed magnitudes like real alignment LPs: weights ~1e6.
 	p := NewProblem()
-	a := p.AddVariable("a", 0, true)
-	b := p.AddVariable("b", 0, true)
-	th := p.AddVariable("th", 1, false)
+	a := p.AddVariable(0, true)
+	b := p.AddVariable(0, true)
+	th := p.AddVariable(1, false)
 	p.AddConstraint(map[VarID]float64{th: 1, a: -1e6, b: 1e6}, GE, -3e6)
 	p.AddConstraint(map[VarID]float64{th: 1, a: 1e6, b: -1e6}, GE, 3e6)
 	p.AddConstraint(map[VarID]float64{a: 1}, EQ, 0)
@@ -141,10 +141,10 @@ func TestEqualityChain(t *testing.T) {
 	// A chain of equalities like ADG node constraints:
 	// x0 = 0, x1 = x0 + 2, x2 = x1 - 5, min θ ≥ |x2 - x0|.
 	p := NewProblem()
-	x0 := p.AddVariable("x0", 0, true)
-	x1 := p.AddVariable("x1", 0, true)
-	x2 := p.AddVariable("x2", 0, true)
-	th := p.AddVariable("th", 1, false)
+	x0 := p.AddVariable(0, true)
+	x1 := p.AddVariable(0, true)
+	x2 := p.AddVariable(0, true)
+	th := p.AddVariable(1, false)
 	p.AddConstraint(map[VarID]float64{x0: 1}, EQ, 0)
 	p.AddConstraint(map[VarID]float64{x1: 1, x0: -1}, EQ, 2)
 	p.AddConstraint(map[VarID]float64{x2: 1, x1: -1}, EQ, -5)
@@ -160,11 +160,11 @@ func TestManyThetaTerms(t *testing.T) {
 	// A star of K offsets all pulled toward different constants with
 	// different weights; optimum is the weighted median.
 	p := NewProblem()
-	x := p.AddVariable("x", 0, true)
+	x := p.AddVariable(0, true)
 	targets := []float64{1, 4, 9, 16, 25}
 	weights := []float64{1, 2, 7, 2, 1}
 	for i := range targets {
-		th := p.AddVariable("th", weights[i], false)
+		th := p.AddVariable(weights[i], false)
 		p.AddConstraint(map[VarID]float64{th: 1, x: -1}, GE, -targets[i])
 		p.AddConstraint(map[VarID]float64{th: 1, x: 1}, GE, targets[i])
 	}
@@ -186,7 +186,7 @@ func TestRandomFeasibility(t *testing.T) {
 		costs := make([]float64, nv)
 		for i := range vars {
 			costs[i] = float64(rng.Intn(5) + 1)
-			vars[i] = p.AddVariable("v", costs[i], false)
+			vars[i] = p.AddVariable(costs[i], false)
 		}
 		type con struct {
 			coefs []float64
@@ -263,20 +263,20 @@ func TestZeroRowSolves(t *testing.T) {
 		wantObj float64
 	}{
 		{"eliminated row, free column with cost", func(p *Problem) {
-			x0 := p.AddVariable("x0", 1, true)
-			x1 := p.AddVariable("x1", 0, true)
+			x0 := p.AddVariable(1, true)
+			x1 := p.AddVariable(0, true)
 			p.AddConstraint(map[VarID]float64{x1: 1, x0: -1}, EQ, 2)
 		}, ErrUnbounded, 0},
 		{"no rows, free column with cost", func(p *Problem) {
-			p.AddVariable("x", -1, true)
+			p.AddVariable(-1, true)
 		}, ErrUnbounded, 0},
 		{"no rows, nonnegative column with negative cost", func(p *Problem) {
-			p.AddVariable("x", -1, false)
+			p.AddVariable(-1, false)
 		}, ErrUnbounded, 0},
 		{"eliminated row, bounded", func(p *Problem) {
 			// x0 = x1 − 2 leaves min x1 over x1 ≥ 0: x1 = 0, x0 = −2.
-			x0 := p.AddVariable("x0", 0, true)
-			x1 := p.AddVariable("x1", 1, false)
+			x0 := p.AddVariable(0, true)
+			x1 := p.AddVariable(1, false)
 			p.AddConstraint(map[VarID]float64{x1: 1, x0: -1}, EQ, 2)
 		}, nil, 0},
 	}
@@ -306,10 +306,10 @@ func TestZeroRowSolves(t *testing.T) {
 // and its artificial stays basic at level 0.
 func redundantRowProblem(c float64) (*Problem, VarID) {
 	p := NewProblem()
-	x := p.AddVariable("x", 0, true)
-	y := p.AddVariable("y", 0, true)
-	tx := p.AddVariable("tx", 1, false)
-	ty := p.AddVariable("ty", c, false)
+	x := p.AddVariable(0, true)
+	y := p.AddVariable(0, true)
+	tx := p.AddVariable(1, false)
+	ty := p.AddVariable(c, false)
 	p.AddConstraint(map[VarID]float64{x: 1, y: 1}, EQ, 4)
 	p.AddConstraint(map[VarID]float64{x: 2, y: 2}, EQ, 8)
 	p.AddConstraint(map[VarID]float64{tx: 1, x: -1}, GE, -1)
@@ -384,9 +384,9 @@ func TestRedundantRowKeepsArtificial(t *testing.T) {
 func TestLiftedArtificialFails(t *testing.T) {
 	const delta = 5e-8
 	p := NewProblem()
-	x := p.AddVariable("x", 0, false)
-	y := p.AddVariable("y", 0, false)
-	z := p.AddVariable("z", -1, false)
+	x := p.AddVariable(0, false)
+	y := p.AddVariable(0, false)
+	z := p.AddVariable(-1, false)
 	p.AddConstraint(map[VarID]float64{x: 1, y: 1}, EQ, 1000)
 	p.AddConstraint(map[VarID]float64{x: 1, y: 1, z: -delta}, EQ, 1000)
 	p.AddConstraint(map[VarID]float64{z: 1}, LE, 1000)

@@ -131,7 +131,7 @@ type sparseWarmState struct {
 // solves stop allocating; transient build scratch lives in ar.sp.
 func (p *Problem) buildSparseForm(ar *Arena) *spForm {
 	sp := &ar.sp
-	nv := len(p.names)
+	nv := len(p.costs)
 	occ := growInt(&sp.occ, nv)
 	for _, c := range p.cons {
 		for _, e := range c.ents {
@@ -912,7 +912,7 @@ func sparsePhase2Cost(p *Problem, f *spForm, ar *Arena) []float64 {
 // sparseExtract reads the solution off the final basis and exact RHS,
 // mapping u/w pairs back to their θ via θ = (u+w)/2.
 func (p *Problem) sparseExtract(f *spForm, basis []int, xB2 []float64) *Solution {
-	values := make([]float64, len(p.names))
+	values := make([]float64, len(p.costs))
 	for r, bj := range basis {
 		x := xB2[r]
 		switch {
@@ -1013,7 +1013,7 @@ func (p *Problem) solveSparse() (*Solution, error) {
 	if p.keep {
 		p.sws = &sparseWarmState{
 			f: f, basis: s.basis,
-			nVars: len(p.names), nCons: len(p.cons),
+			nVars: len(p.costs), nCons: len(p.cons),
 		}
 	}
 	return p.sparseExtract(f, s.basis, s.xB2), nil

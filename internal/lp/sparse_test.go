@@ -14,7 +14,7 @@ func buildRandomRLP(rng *rand.Rand, nPorts, nEdges int) *Problem {
 	p := NewProblem()
 	ports := make([]VarID, nPorts)
 	for i := range ports {
-		ports[i] = p.AddVariable("pi", 0, true)
+		ports[i] = p.AddVariable(0, true)
 	}
 	p.AddConstraint(map[VarID]float64{ports[0]: 1}, EQ, 0) // anchor
 	for e := 0; e < nEdges; e++ {
@@ -26,7 +26,7 @@ func buildRandomRLP(rng *rand.Rand, nPorts, nEdges int) *Problem {
 		c := float64(1 + rng.Intn(4))
 		d := float64(rng.Intn(7) - 3)
 		w := float64(rng.Intn(5)) // includes 0: dead-edge θ
-		th := p.AddVariable("theta", w, false)
+		th := p.AddVariable(w, false)
 		p.AddConstraint(map[VarID]float64{th: 1, src: c, dst: -c}, GE, -c*d)
 		p.AddConstraint(map[VarID]float64{th: 1, src: -c, dst: c}, GE, c*d)
 	}
@@ -175,10 +175,10 @@ func TestSparseDifferentialWarm(t *testing.T) {
 func TestSparseThetaPairMerge(t *testing.T) {
 	build := func() *Problem {
 		p := NewProblem()
-		a := p.AddVariable("a", 0, true)
-		b := p.AddVariable("b", 0, true)
-		t1 := p.AddVariable("t1", 2, false)
-		t2 := p.AddVariable("t2", 3, false)
+		a := p.AddVariable(0, true)
+		b := p.AddVariable(0, true)
+		t1 := p.AddVariable(2, false)
+		t2 := p.AddVariable(3, false)
 		p.AddConstraint(map[VarID]float64{a: 1}, EQ, 0)
 		p.AddConstraint(map[VarID]float64{t1: 1, a: 1, b: -1}, GE, -3)
 		p.AddConstraint(map[VarID]float64{t1: 1, a: -1, b: 1}, GE, 3)

@@ -189,21 +189,21 @@ func MinCutLP(n int, edges []LPEdge, s, t int) (value int64, sourceSide []bool, 
 	prob := lp.NewProblem()
 	pv := make([]lp.VarID, n)
 	for v := 0; v < n; v++ {
-		pv[v] = prob.AddVariable("p", 0, true)
+		pv[v] = prob.AddVariable(0, true)
 	}
 	de := make([]lp.VarID, len(edges))
 	for i, e := range edges {
-		de[i] = prob.AddVariable("d", float64(e.Capacity), false)
+		de[i] = prob.AddVariable(float64(e.Capacity), false)
 	}
-	prob.AddConstraint(map[lp.VarID]float64{pv[s]: 1}, lp.EQ, 1)
-	prob.AddConstraint(map[lp.VarID]float64{pv[t]: 1}, lp.EQ, 0)
+	prob.AddRow([]lp.Term{{V: pv[s], A: 1}}, lp.EQ, 1)
+	prob.AddRow([]lp.Term{{V: pv[t], A: 1}}, lp.EQ, 0)
+	row := make([]lp.Term, 3)
 	for i, e := range edges {
 		// d_e − p_u + p_v ≥ 0
-		prob.AddConstraint(map[lp.VarID]float64{
-			de[i]:      1,
-			pv[e.From]: -1,
-			pv[e.To]:   1,
-		}, lp.GE, 0)
+		row[0] = lp.Term{V: de[i], A: 1}
+		row[1] = lp.Term{V: pv[e.From], A: -1}
+		row[2] = lp.Term{V: pv[e.To], A: 1}
+		prob.AddRow(row, lp.GE, 0)
 	}
 	sol, err := prob.Solve()
 	if err != nil {

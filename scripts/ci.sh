@@ -23,8 +23,8 @@ go build ./...
 echo "== go test"
 # Includes the steady-state allocation gates (TestAxisStrideAllocs,
 # TestBatchThroughputAllocs, TestOffsetSolverPresolve*Allocs,
-# TestColdOffsetsAllocs, TestFrontendAllocs, TestHitPathZeroAlloc) next
-# to their benchmarks.
+# TestColdOffsetsAllocs, TestKeptOffsetsAllocs, TestFrontendAllocs,
+# TestHitPathZeroAlloc) next to their benchmarks.
 go test ./...
 
 echo "== perfbench (separate module: vet and test against this tree's API)"
