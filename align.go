@@ -290,9 +290,11 @@ func (r *Result) Report() string {
 		fmt.Fprintf(&b, "regions: %d independent components\n", r.Align.Regions)
 	}
 	fmt.Fprintf(&b, "replication broadcast volume: %d\n", r.Align.Repl.Broadcast)
-	fmt.Fprintf(&b, "offset LP: %d vars, %d constraints, %d solves, approx cost %.0f\n",
-		r.Align.Offset.LPVariables, r.Align.Offset.LPConstraints,
-		r.Align.Offset.Solves, r.Align.Offset.Approx)
+	// Exact − Approx: beyond the §4.2 subrange error, a gap means the
+	// rounded offsets lost the LP's optimum.
+	off := r.Align.Offset
+	fmt.Fprintf(&b, "offset LP: %d vars, %d constraints, %d solves (%d shared), approx cost %.0f, exact - approx %.0f\n",
+		off.LPVariables, off.LPConstraints, off.Solves, off.Shared, off.Approx, float64(off.Exact)-off.Approx)
 	st := r.Align.Offset.Stats
 	fmt.Fprintf(&b, "LP effort: %d cold + %d warm + %d network solves (%d sparse), %d pivots, %d refactors, %d augments, phase1 %s, phase2 %s\n",
 		st.Solves, st.WarmSolves, st.NetSolves, st.SparseSolves,

@@ -495,7 +495,10 @@ func BenchmarkOffsetsParallel(b *testing.B) {
 // under a changed replication labeling via the retained basis (phase 2
 // only) versus a cold two-phase solve per round. Warm re-solves must
 // pivot strictly less; allocations drop because the tableau is carved
-// from the per-axis arena.
+// from the per-axis arena. rank4Src's four axes build one RLP, so the
+// warm side re-solves only axis 0 and the other three mirror its
+// answer (OffsetSolver); the cold side is the one-shot path, which
+// still solves all four.
 func BenchmarkOffsetsWarmStart(b *testing.B) {
 	g, as := rank4Graph(b)
 	opts := align.OffsetOptions{Strategy: align.StrategyFixed, M: 3, Parallelism: 1}
@@ -1085,18 +1088,24 @@ func TestKeptRLPsPresolve(t *testing.T) {
 
 // TestKeptOffsetsAllocs bounds the offsets phase the pipeline runs
 // under replication: a NewOffsetSolver, its cold solve and one §6
-// round, on fig1 and spreadloop. Measured ~1 030 and ~1 160 allocs/op;
-// with the map-built RLPs and no Reduce below presolveFloor they were
-// ~1 660 and ~1 840. Each kept simplex block holds its own tableau
-// arena, so this path allocates more per RLP than the one-shot path
-// TestColdOffsetsAllocs gates.
+// round, on fig1, spreadloop and rank4Src. Measured ~1 040, ~1 170 and
+// ~5 170 allocs/op; with the map-built RLPs and no Reduce below
+// presolveFloor fig1 and spreadloop were ~1 660 and ~1 840, and
+// rank4Src was ~6 280 while each of its four identical axes built its
+// own route instead of sharing the first axis's solve. Each kept
+// simplex block holds its own tableau arena, so this path allocates
+// more per RLP than the one-shot path TestColdOffsetsAllocs gates.
 func TestKeptOffsetsAllocs(t *testing.T) {
 	for _, w := range []struct {
-		name string
-		gate float64
-	}{{"fig1", 1500}, {"spreadloop", 1700}} {
+		name, src string
+		gate      float64
+	}{
+		{"fig1", determinismSources["fig1"], 1500},
+		{"spreadloop", determinismSources["spreadloop"], 1700},
+		{"rank4Src", rank4Src, 7500},
+	} {
 		t.Run(w.name, func(t *testing.T) {
-			g, as, repls := keptRounds(t, determinismSources[w.name])
+			g, as, repls := keptRounds(t, w.src)
 			checkAllocs(t, 8, w.gate, func() error {
 				solver := align.NewOffsetSolver(g, as, keptOptions(lp.PresolveAuto))
 				for _, repl := range repls {

@@ -1,6 +1,9 @@
 package align
 
 import (
+	"math"
+	"slices"
+
 	"repro/internal/lp"
 	"repro/internal/space"
 )
@@ -35,6 +38,8 @@ type axisLP struct {
 	// keep retains simplex bases (whole problem or per block) so a
 	// re-solve after setCost runs phase 2 only.
 	keep bool
+	// routed is set once the first solve has picked the route below.
+	routed bool
 	// nf is the whole problem's network form; nil once it is known not
 	// to be network-shaped or the flow declined.
 	nf *lp.NetForm
@@ -66,18 +71,58 @@ type lpBlock struct {
 // every §6 round would pivot through the full problem.
 const presolveFloor = 220
 
-// newAxisLP builds the RLP for the given subrange partitions and picks
-// its route.
+// newAxisLP builds the RLP for the given subrange partitions. Its
+// route is picked by its first solve.
 func (ax *axisSolver) newAxisLP(parts map[int][]space.Space, keep bool) *axisLP {
 	prob, cols, thetas := ax.buildRLP(parts)
-	l := &axisLP{prob: prob, cols: cols, thetas: thetas, keep: keep}
+	return &axisLP{prob: prob, cols: cols, thetas: thetas, keep: keep}
+}
+
+// route classifies the built problem for the flow and, failing that,
+// presolves it. Both read the current costs, so a kept RLP is routed
+// under the costs of its first solve.
+func (l *axisLP) route(ax *axisSolver) {
+	l.routed = true
 	if !ax.opts.NoNetPath {
-		l.nf, _ = prob.NetworkForm()
+		l.nf, _ = l.prob.NetworkForm()
 	}
 	if l.nf == nil {
 		l.presolve(ax)
 	}
-	return l
+}
+
+// equal reports whether l and o are the same RLP exactly: the same
+// problem (lp.Problem.Equal), slot → column map and θ columns. Equal
+// RLPs take the same deterministic route and solve.
+func (l *axisLP) equal(o *axisLP) bool {
+	return slices.Equal(l.cols, o.cols) && slices.Equal(l.thetas, o.thetas) && l.prob.Equal(o.prob)
+}
+
+// sameCosts reports whether the θ costs of l and o agree bit for bit;
+// o must be equal to l up to those costs.
+func (l *axisLP) sameCosts(o *axisLP) bool {
+	for _, th := range l.thetas {
+		if math.Float64bits(l.prob.Cost(th.v)) != math.Float64bits(o.prob.Cost(th.v)) {
+			return false
+		}
+	}
+	return true
+}
+
+// thetaCosts returns the current cost of every θ column, in θ order.
+func (l *axisLP) thetaCosts() []float64 {
+	c := make([]float64, len(l.thetas))
+	for i, th := range l.thetas {
+		c[i] = l.prob.Cost(th.v)
+	}
+	return c
+}
+
+// setThetaCosts sets the θ costs from a thetaCosts vector.
+func (l *axisLP) setThetaCosts(c []float64) {
+	for i, th := range l.thetas {
+		l.setCost(th.v, c[i])
+	}
 }
 
 // presolve splits the problem into Reduce's blocks when presolve is on
@@ -93,11 +138,13 @@ func (l *axisLP) presolve(ax *axisSolver) {
 	}
 }
 
-// split runs Reduce and prepares its blocks. Blocks that keep a basis
-// must not share an arena, so each simplex block takes its own from
-// the scratch pool (returned with the axis arena); the others solve one
-// after another in the axis arena.
+// split runs Reduce and prepares its blocks; it settles the route, so
+// run never classifies the whole problem after it. Blocks that keep a
+// basis must not share an arena, so each simplex block takes its own
+// from the scratch pool (returned with the axis arena); the others
+// solve one after another in the axis arena.
 func (l *axisLP) split(ax *axisSolver) {
+	l.routed = true
 	red, ok := l.prob.Reduce()
 	if !ok {
 		return
@@ -142,13 +189,11 @@ func (l *axisLP) setCost(v lp.VarID, cost float64) {
 // solve runs the route once, counting it into res, writes the
 // coefficient values into ax.vals and returns the LP objective.
 func (l *axisLP) solve(ax *axisSolver, res *OffsetResult) (float64, error) {
-	res.LPVariables = max(res.LPVariables, l.prob.NumVariables())
-	res.LPConstraints = max(res.LPConstraints, l.prob.NumConstraints())
 	sol, err := l.run(ax)
 	if err != nil {
 		return 0, err
 	}
-	res.Solves++
+	l.tally(res)
 	for s, v := range l.cols {
 		ax.vals[s] = 0
 		if v >= 0 {
@@ -158,6 +203,13 @@ func (l *axisLP) solve(ax *axisSolver, res *OffsetResult) (float64, error) {
 	return sol.Objective, nil
 }
 
+// tally counts one answer of this RLP into res: its size and one Solve.
+func (l *axisLP) tally(res *OffsetResult) {
+	res.LPVariables = max(res.LPVariables, l.prob.NumVariables())
+	res.LPConstraints = max(res.LPConstraints, l.prob.NumConstraints())
+	res.Solves++
+}
+
 // run solves the problem down the route. A flow that declines after
 // classifying hands the problem to the presolver for this and every
 // later solve. A block error is final: the blocks partition the
@@ -165,6 +217,9 @@ func (l *axisLP) solve(ax *axisSolver, res *OffsetResult) (float64, error) {
 // fails the same way.
 func (l *axisLP) run(ax *axisSolver) (*lp.Solution, error) {
 	l.prob.SetStats(ax.stats)
+	if !l.routed {
+		l.route(ax)
+	}
 	if l.nf != nil {
 		if sol, ok := solveNetForm(l.prob, l.nf, ax.stats); ok {
 			return sol, nil

@@ -608,6 +608,7 @@ func (r *Result) rehydrate(g *adg.Graph) *Result {
 		LPVariables:   r.Offset.LPVariables,
 		LPConstraints: r.Offset.LPConstraints,
 		Solves:        r.Offset.Solves,
+		Shared:        r.Offset.Shared,
 		Stats:         r.Offset.Stats,
 	}
 	for id, v := range r.Offset.Offsets {

@@ -201,8 +201,9 @@ func TestDifferentialEngines(t *testing.T) {
 
 		// Presolved leg: Reduce + per-block solve + Postsolve, driven
 		// through the offset solver's own route (axisLP) past its size
-		// floor. A nil arena is fine: each block then allocates its own
-		// tableau.
+		// floor; split settles the route, so run solves the blocks even
+		// where the whole problem is network-shaped. A nil arena is
+		// fine: each block then allocates its own tableau.
 		pp := sp.build()
 		pax := &axisSolver{opts: OffsetOptions{}, stats: &lp.Stats{}}
 		pl := &axisLP{prob: pp}
@@ -243,6 +244,10 @@ func TestDifferentialEngines(t *testing.T) {
 			t.Fatalf("case %d: sparse solution infeasible, residual %g", i, r)
 		}
 		if pok {
+			if pax.stats.Blocks != len(pl.blocks) {
+				t.Fatalf("case %d (shape %d): presolved leg solved %d of %d blocks",
+					i, shape, pax.stats.Blocks, len(pl.blocks))
+			}
 			presolved++
 			if d := math.Abs(psol.Objective - dsol.Objective); d > tol {
 				t.Fatalf("case %d (shape %d): presolved obj %.9g vs dense obj %.9g (Δ=%g)",

@@ -160,8 +160,12 @@ type OffsetResult struct {
 	Exact int64
 	// LPVariables and LPConstraints count the largest single LP solved.
 	LPVariables, LPConstraints int
-	// Solves counts LP solves across all axes and refinement rounds.
+	// Solves counts LP solves across all axes and refinement rounds:
+	// one per axis answer, whether solved or shared.
 	Solves int
+	// Shared counts the axis answers of a kept solver copied from a
+	// lower axis with the same RLP instead of solved (OffsetSolver).
+	Shared int
 	// Stats is the accumulated LP solver effort: cold solves,
 	// warm-started solves (basis reuse across §6 replication rounds),
 	// pivots, and wall time per simplex phase.

@@ -208,7 +208,7 @@ func alignMono(g *adg.Graph, opts Options) (*Result, error) {
 		// cold round-0 solves (the expensive ones) would vanish from the
 		// report the moment a warm round overwrote off.
 		var effort lp.Stats
-		solves, lpVars, lpCons := 0, 0, 0
+		solves, shared, lpVars, lpCons := 0, 0, 0, 0
 		for round := 0; round < opts.ReplicationRounds; round++ {
 			if err := opts.ctxErr(); err != nil {
 				return nil, err
@@ -227,6 +227,7 @@ func alignMono(g *adg.Graph, opts Options) (*Result, error) {
 			times.Offsets += time.Since(t0)
 			effort.Add(off.Stats)
 			solves += off.Solves
+			shared += off.Shared
 			if off.LPVariables > lpVars {
 				lpVars = off.LPVariables
 			}
@@ -240,6 +241,7 @@ func alignMono(g *adg.Graph, opts Options) (*Result, error) {
 		}
 		off.Stats = effort
 		off.Solves = solves
+		off.Shared = shared
 		off.LPVariables = lpVars
 		off.LPConstraints = lpCons
 	} else {

@@ -171,6 +171,7 @@ func reassembleRegions(g *adg.Graph, part *adg.Partition, results []*Result, hit
 		off.Approx += r.Offset.Approx
 		off.Exact += r.Offset.Exact
 		off.Solves += r.Offset.Solves
+		off.Shared += r.Offset.Shared
 		if r.Offset.LPVariables > off.LPVariables {
 			off.LPVariables = r.Offset.LPVariables
 		}

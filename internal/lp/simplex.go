@@ -195,6 +195,35 @@ func (p *Problem) NumVariables() int { return len(p.costs) }
 // NumConstraints returns the number of constraints added so far.
 func (p *Problem) NumConstraints() int { return len(p.cons) }
 
+// Equal reports whether p and q state the same problem exactly: the
+// same costs bit for bit, free flags, and rows (relation, right-hand
+// side and entries, coefficients bit for bit). Solve settings, stats,
+// arenas and retained bases are not compared. Two equal problems take
+// the same deterministic solve, so a caller may solve one and reuse its
+// solution for the other.
+func (p *Problem) Equal(q *Problem) bool {
+	if len(p.costs) != len(q.costs) || len(p.cons) != len(q.cons) {
+		return false
+	}
+	for v, c := range p.costs {
+		if math.Float64bits(c) != math.Float64bits(q.costs[v]) || p.free[v] != q.free[v] {
+			return false
+		}
+	}
+	for i := range p.cons {
+		a, b := &p.cons[i], &q.cons[i]
+		if a.op != b.op || math.Float64bits(a.rhs) != math.Float64bits(b.rhs) || len(a.ents) != len(b.ents) {
+			return false
+		}
+		for k, e := range a.ents {
+			if e.v != b.ents[k].v || math.Float64bits(e.a) != math.Float64bits(b.ents[k].a) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Residual returns the largest constraint violation of vals (indexed
 // by VarID): the amount by which any row misses its relation, or any
 // nonnegative variable dips below zero. A value ≤ tol for the caller's

@@ -47,6 +47,74 @@ func TestEqualityConstraint(t *testing.T) {
 	}
 }
 
+// eqSpec is the data a Problem is built from in TestProblemEqual.
+type eqSpec struct {
+	costs []float64
+	free  []bool
+	rows  [][]Term
+	ops   []Op
+	rhs   []float64
+}
+
+func newEqSpec() *eqSpec {
+	return &eqSpec{
+		costs: []float64{1, 0, 2},
+		free:  []bool{true, false, false},
+		rows:  [][]Term{{{0, 1}, {1, -1}}, {{1, 2}, {2, 0.5}}},
+		ops:   []Op{EQ, GE},
+		rhs:   []float64{3, 1},
+	}
+}
+
+func (s *eqSpec) build() *Problem {
+	p := NewProblem()
+	for v, c := range s.costs {
+		p.AddVariable(c, s.free[v])
+	}
+	for i, r := range s.rows {
+		p.AddRow(r, s.ops[i], s.rhs[i])
+	}
+	return p
+}
+
+// TestProblemEqual: Equal holds for two problems built the same way,
+// whatever their solve settings or retained state, and fails on any
+// one differing cost (bitwise: 0 and −0 differ), free flag, relation,
+// right-hand side or coefficient, or on an extra variable or row.
+func TestProblemEqual(t *testing.T) {
+	base := newEqSpec().build()
+	same := newEqSpec().build()
+	same.SetOptions(Options{MaxIter: 7})
+	same.KeepBasis()
+	if _, err := same.Solve(); err != nil {
+		t.Fatal(err)
+	}
+	if !base.Equal(same) || !same.Equal(base) {
+		t.Fatal("identically built problems are not Equal")
+	}
+	for name, edit := range map[string]func(*eqSpec){
+		"cost":          func(s *eqSpec) { s.costs[2] = 3 },
+		"negative zero": func(s *eqSpec) { s.costs[1] = math.Copysign(0, -1) },
+		"free":          func(s *eqSpec) { s.free[1] = true },
+		"relation":      func(s *eqSpec) { s.ops[1] = LE },
+		"rhs":           func(s *eqSpec) { s.rhs[0] = 4 },
+		"coefficient":   func(s *eqSpec) { s.rows[1][1].A = 0.25 },
+		"column":        func(s *eqSpec) { s.rows[1][1].V = 0 },
+		"variable": func(s *eqSpec) {
+			s.costs, s.free = append(s.costs, 0), append(s.free, false)
+		},
+		"row": func(s *eqSpec) {
+			s.rows, s.ops, s.rhs = append(s.rows, []Term{{2, 1}}), append(s.ops, LE), append(s.rhs, 5)
+		},
+	} {
+		spec := newEqSpec()
+		edit(spec)
+		if q := spec.build(); base.Equal(q) || q.Equal(base) {
+			t.Errorf("%s: problems differ but are Equal", name)
+		}
+	}
+}
+
 func TestFreeVariable(t *testing.T) {
 	// min |x - 5| encoded as min t s.t. t >= x-5, t >= 5-x, x free,
 	// with x pinned by x = 3 → t = 2.

@@ -23,7 +23,8 @@ go build ./...
 echo "== go test"
 # Includes the steady-state allocation gates (TestAxisStrideAllocs,
 # TestBatchThroughputAllocs, TestOffsetSolverPresolve*Allocs,
-# TestColdOffsetsAllocs, TestKeptOffsetsAllocs, TestFrontendAllocs,
+# TestColdOffsetsAllocs, TestKeptOffsetsAllocs with its fig1,
+# spreadloop and rank4Src legs, TestFrontendAllocs,
 # TestHitPathZeroAlloc) next to their benchmarks.
 go test ./...
 
