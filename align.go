@@ -51,21 +51,22 @@ type Options struct {
 	// beyond the two canonical seeds (0 means the default of 2; negative
 	// disables restarts).
 	Restarts int
-	// Cache, when non-nil, memoizes pipeline results content-addressed by
-	// the ADG and the result-affecting options: re-aligning an unchanged
-	// program skips every solver. AlignSource additionally memoizes the
-	// completed result under the normalized token stream of the source
-	// (the source memo tier), so re-aligning an unchanged or merely
-	// reformatted program costs one hash. Share one cache across
-	// AlignSource / AlignProgram calls; see NewCache.
+	// Cache, when non-nil, memoizes pipeline results per weakly connected
+	// component of the ADG, content-addressed by the component and the
+	// result-affecting options: re-aligning an unchanged program skips
+	// every solver, and after an edit only the edited components
+	// re-solve. AlignSource additionally memoizes the completed result
+	// under the normalized token stream of the source (the source memo
+	// tier), so re-aligning an unchanged or merely reformatted program
+	// costs one hash. Share one cache across AlignSource / AlignProgram
+	// calls; see NewCache.
 	Cache *Cache
-	// Partition enables incremental, compositional solving: each weakly
-	// connected component of the program's ADG is content-addressed and
-	// cached on its own (requires Cache), so editing one independent
-	// computation re-solves only that component — the rest are warm
-	// region hits — and components become the parallelism grain. The
-	// computed alignment is byte-identical with Partition on or off at
-	// every Parallelism setting.
+	// Partition is ignored.
+	//
+	// Deprecated: every solve is cut into its weakly connected
+	// components, and with a Cache each component is one cache entry,
+	// so editing one independent computation re-solves only that
+	// component.
 	Partition bool
 	// MaxLPIter, when > 0, caps the simplex pivots of every offset LP
 	// solve; a solve that exhausts the budget fails with an error
@@ -162,7 +163,6 @@ func (o Options) alignOptions() align.Options {
 		Replication:       o.Replication,
 		ReplicationRounds: o.ReplicationRounds,
 		Cache:             o.Cache,
-		Partition:         o.Partition,
 		MaxLPIter:         o.MaxLPIter,
 	}
 }
@@ -283,10 +283,10 @@ func (r *Result) Report() string {
 		b.WriteString("source memo: hit (front end skipped)\n")
 	}
 	if r.Align.Regions > 1 {
-		// The count is a structural property of the program (identical
-		// with Options.Partition on or off); region cache hits are not
-		// printed here — they vary with cache warmth, and reports must
-		// stay byte-identical across the Partition toggle.
+		// The count is a structural property of the program; region
+		// cache hits are not printed here — they vary with cache
+		// warmth, and reports must stay byte-identical with and without
+		// a cache.
 		fmt.Fprintf(&b, "regions: %d independent components\n", r.Align.Regions)
 	}
 	fmt.Fprintf(&b, "replication broadcast volume: %d\n", r.Align.Repl.Broadcast)

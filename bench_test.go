@@ -1120,7 +1120,7 @@ func TestKeptOffsetsAllocs(t *testing.T) {
 }
 
 // BenchmarkAlignCached — the content-addressed pipeline cache: aligning
-// an unchanged program again is O(hash + rehydrate). ns/op times the
+// an unchanged program again is O(hash + reassembly). ns/op times the
 // cache-hit path; the cold path re-solves into a fresh cache each
 // iteration. The hit must be ≥ 10× faster than the cold solve, and the
 // driver-level report must record it.
@@ -1430,22 +1430,21 @@ func incrementalEditSrc(n, edited int, v int64) string {
 	return "real " + strings.Join(decls, ", ") + "\n" + body.String()
 }
 
-// BenchmarkIncrementalEdit — the compositional layer (E16): with
-// Options.Partition on, a one-line edit to a 16-component program
-// re-solves only the edited region and serves the other 15 from the
-// per-region content cache. ns/op times the 1-edit re-solve against a
+// BenchmarkIncrementalEdit — the compositional layer (E16): with a
+// Cache, a one-line edit to a 16-component program re-solves only the
+// edited region and serves the other 15 from the per-region content
+// cache. ns/op times the 1-edit re-solve against a
 // warm cache; the gate requires it ≥ 4× faster than a full cold
 // re-solve of the same revision (both paths pay parse+analyze+build, so
 // the ratio understates the solver-only saving; the RLP presolver cut
 // the cold offsets phase ~2.5×, which narrowed this ratio from the
 // 7–9× it gated at 5× against). Every revision is a
-// never-before-seen variant: the whole-program key always misses, which
-// is exactly the edit-stream shape (see cmd/alignc -editstream). The
-// cold and edit sides are timed interleaved (minTimePair).
+// never-before-seen variant: its edited region always misses, which is
+// exactly the edit-stream shape (see cmd/alignc -editstream). The cold
+// and edit sides are timed interleaved (minTimePair).
 func BenchmarkIncrementalEdit(b *testing.B) {
 	const comps = 16
 	opts := DefaultOptions()
-	opts.Partition = true
 
 	rev := int64(0)
 	next := func() string {
@@ -1456,7 +1455,7 @@ func BenchmarkIncrementalEdit(b *testing.B) {
 	// Warm: prime the shared cache with the base program, then solve a
 	// fresh one-line revision per call. The first post-prime edit is
 	// deterministic (the cache holds exactly the base entries): it must
-	// hit all comps-1 untouched regions and miss the whole-program key.
+	// hit all comps-1 untouched regions and miss the edited one.
 	opts.Cache = NewCache(1024)
 	if _, err := AlignSource(incrementalEditSrc(comps, -1, 0), opts); err != nil {
 		b.Fatal(err)

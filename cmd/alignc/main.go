@@ -8,10 +8,10 @@
 // Usage:
 //
 //	alignc [-strategy fixed|unroll|search|zerotrack|recursive] [-m N]
-//	       [-par N] [-cache] [-partition] [-norepl] [-dot] [-sim] [-top N]
+//	       [-par N] [-cache] [-norepl] [-dot] [-sim] [-top N]
 //	       [-grid PxQ] [-timeout D] [-cpuprofile F] [-memprofile F] file.dp
 //	alignc -batch 'progs/*.dp' [-workers N] [-timeout D] [-deadline D] [...]
-//	alignc -editstream N [-partition] [-par N]
+//	alignc -editstream N [-par N]
 //
 // With no file, the Figure 1 fragment from the paper is compiled. With
 // -batch, every file matching the glob is aligned under one global
@@ -71,7 +71,6 @@ func run() int {
 	sim := flag.Bool("sim", false, "simulate the aligned program on a distributed-memory machine")
 	grid := flag.String("grid", "4x4", "processor grid for -sim, e.g. 8x8")
 	top := flag.Int("top", 10, "edges to show in the cost report")
-	partition := flag.Bool("partition", false, "enable compositional solving: per-region caching and region-grain parallelism (see -editstream)")
 	editstream := flag.Int("editstream", 0, "demo mode: build an N-component program, then re-align it N times with one component edited each round, printing per-edit latency and region hit rate (implies -cache)")
 	batch := flag.String("batch", "", "align every file matching the glob as one batch")
 	workers := flag.Int("workers", 0, "global worker budget for -batch (0 = GOMAXPROCS)")
@@ -123,7 +122,7 @@ func run() int {
 	if err != nil {
 		fatal(err)
 	}
-	opts := repro.Options{Strategy: st, Subranges: *m, Replication: !*norepl, Parallelism: *par, Partition: *partition}
+	opts := repro.Options{Strategy: st, Subranges: *m, Replication: !*norepl, Parallelism: *par}
 
 	// Ctrl-C or SIGTERM (what init systems and orchestrators send — the
 	// same drain set alignd hooks) cancels the context: running solves
@@ -219,9 +218,9 @@ func editStreamSrc(n, edited int, v int64) string {
 
 // runEditStream demonstrates incremental re-alignment: a cold solve of
 // an n-component program, then n rounds each editing one line of one
-// component and re-aligning. With -partition every untouched component
-// is a warm region hit and only the edited one re-solves; without it
-// every edit is a full re-solve (run both to compare).
+// component and re-aligning. The cache holds one entry per component,
+// so every untouched component is a warm region hit and only the
+// edited one re-solves.
 func runEditStream(ctx context.Context, n int, opts repro.Options) {
 	if opts.Cache == nil {
 		opts.Cache = repro.NewCache(4 * n)

@@ -139,6 +139,32 @@ func TestBatchCleanRunExitsZero(t *testing.T) {
 	}
 }
 
+// TestEditStreamRegionHits: -editstream needs no flag to cache by
+// region, so every one-component edit of a 4-component program re-solves
+// only the edited component and hits the other three.
+func TestEditStreamRegionHits(t *testing.T) {
+	bin := buildAlignc(t)
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(bin, "-editstream", "4")
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if code := exitCode(t, cmd.Run()); code != 0 {
+		t.Fatalf("exit code = %d, want 0\nstderr:\n%s", code, &stderr)
+	}
+	edits := 0
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		if !strings.HasPrefix(line, "edit ") || strings.HasPrefix(line, "edit stream:") {
+			continue
+		}
+		edits++
+		if !strings.Contains(line, "region hits 3/4") {
+			t.Errorf("edit line does not read region hits 3/4: %q", line)
+		}
+	}
+	if edits != 4 {
+		t.Errorf("got %d edit lines, want 4:\n%s", edits, &stdout)
+	}
+}
+
 // TestBatchDeadlineExitsNonZero: a fired -deadline must exit 1 and
 // explain itself on stderr while the summary still prints.
 func TestBatchDeadlineExitsNonZero(t *testing.T) {

@@ -45,7 +45,6 @@ func run() int {
 	strategy := flag.String("strategy", "fixed", "default offset strategy: fixed|unroll|search|zerotrack|recursive")
 	m := flag.Int("m", 3, "default subranges per iteration range (fixed strategy)")
 	norepl := flag.Bool("norepl", false, "disable replication labeling by default")
-	partition := flag.Bool("partition", false, "enable compositional per-region caching by default")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintln(os.Stderr, "alignd: unexpected arguments:", strings.Join(flag.Args(), " "))
@@ -72,7 +71,6 @@ func run() int {
 		Strategy:      st,
 		Subranges:     *m,
 		NoReplication: *norepl,
-		Partition:     *partition,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -169,7 +169,7 @@ func normalizeBatchReport(s string) string {
 // alignments, exact costs, and normalized Report text of AlignBatch are
 // byte-identical across worker counts 1, 2, and 8 and across input
 // permutations, and a duplicate-heavy batch returns the same per-program
-// output while executing the pipeline exactly once per distinct program.
+// output while executing the pipeline exactly once per distinct region.
 func TestBatchDeterminism(t *testing.T) {
 	names := make([]string, 0, len(determinismSources))
 	for name := range determinismSources {
@@ -227,16 +227,27 @@ func TestBatchDeterminism(t *testing.T) {
 		}
 		o := opts
 		o.Cache = NewCache(len(dup))
-		got := normalized(t, AlignBatch(dup, o, BatchOptions{Workers: 8}))
+		results := AlignBatch(dup, o, BatchOptions{Workers: 8})
+		got := normalized(t, results)
 		for i, rep := range got {
 			if rep != base[i%len(srcs)] {
 				t.Errorf("duplicate copy of %s differs from its unique run", names[i%len(srcs)])
 			}
 		}
+		// The cache holds one entry per region, and no two corpus
+		// programs share a component, so the pipeline runs once per
+		// region of the distinct programs (mixed splits into two).
+		regions := 0
+		for _, br := range results[:len(srcs)] {
+			regions += br.Result.Align.Regions
+		}
+		if regions != len(srcs)+1 {
+			t.Errorf("corpus programs have %d regions, want %d (every program connected but mixed)", regions, len(srcs)+1)
+		}
 		computes, _ := o.Cache.FlightStats()
-		if computes != int64(len(srcs)) {
-			t.Errorf("duplicate batch executed the pipeline %d times, want exactly %d (one per distinct program)",
-				computes, len(srcs))
+		if computes != int64(regions) {
+			t.Errorf("duplicate batch executed the pipeline %d times, want exactly %d (one per distinct region)",
+				computes, regions)
 		}
 	})
 }
@@ -265,7 +276,7 @@ func normalizeEffortReport(s string) string {
 // TestPresolveDeterminism pins the presolver's output contract along
 // two axes. Within one setting of the toggle, everything — including
 // the effort and presolve counters — is byte-identical across
-// Parallelism 1/2/8 and Partition on/off: presolve statistics are
+// Parallelism 1/2/8, with and without a cache: presolve statistics are
 // deterministic, never scheduling accidents. Across the toggle, the
 // single-LP-round pipeline (no replication) produces byte-identical
 // effort-normalized reports, and the replicating pipeline produces
@@ -310,13 +321,12 @@ func TestPresolveDeterminism(t *testing.T) {
 				first := true
 				for _, noPresolve := range []bool{false, true} {
 					var wantFull string // within-toggle baseline
-					for _, partition := range []bool{false, true} {
+					for _, cached := range []bool{false, true} {
 						for _, par := range []int{1, 2, 8} {
 							opts := DefaultOptions()
 							opts.Replication = repl
-							opts.Partition = partition
 							opts.Parallelism = par
-							if partition {
+							if cached {
 								opts.Cache = NewCache(8)
 							}
 							aopts := opts.alignOptions()
@@ -331,8 +341,8 @@ func TestPresolveDeterminism(t *testing.T) {
 							if wantFull == "" {
 								wantFull = full
 							} else if full != wantFull {
-								t.Errorf("repl=%v presolve=%v: partition=%v par=%d report differs within the toggle:\n--- baseline\n%s\n--- got\n%s",
-									repl, !noPresolve, partition, par, wantFull, full)
+								t.Errorf("repl=%v presolve=%v: cached=%v par=%d report differs within the toggle:\n--- baseline\n%s\n--- got\n%s",
+									repl, !noPresolve, cached, par, wantFull, full)
 							}
 							norm := normalizeEffortReport(res.Report())
 							exact, total := int64(res.Align.Offset.Exact), res.Cost.Total()
@@ -341,12 +351,12 @@ func TestPresolveDeterminism(t *testing.T) {
 								continue
 							}
 							if exact != wantExact || total != wantTotal {
-								t.Errorf("repl=%v presolve=%v partition=%v par=%d: costs exact=%d total=%d differ from baseline exact=%d total=%d",
-									repl, !noPresolve, partition, par, exact, total, wantExact, wantTotal)
+								t.Errorf("repl=%v presolve=%v cached=%v par=%d: costs exact=%d total=%d differ from baseline exact=%d total=%d",
+									repl, !noPresolve, cached, par, exact, total, wantExact, wantTotal)
 							}
 							if !repl && norm != want {
-								t.Errorf("repl=false presolve=%v partition=%v par=%d: normalized report differs across the toggle:\n--- baseline\n%s\n--- got\n%s",
-									!noPresolve, partition, par, want, norm)
+								t.Errorf("repl=false presolve=%v cached=%v par=%d: normalized report differs across the toggle:\n--- baseline\n%s\n--- got\n%s",
+									!noPresolve, cached, par, want, norm)
 							}
 						}
 					}

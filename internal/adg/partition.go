@@ -49,7 +49,8 @@ type Partition struct {
 
 // PartitionGraph decomposes g into its weakly connected components. An
 // empty graph yields zero regions; a connected graph yields exactly one
-// whose Graph shares g's payloads but not its identity.
+// whose Graph is g itself, with identity Nodes, Ports and Edges — no
+// copy is made.
 func PartitionGraph(g *Graph) *Partition {
 	n := len(g.Nodes)
 	p := &Partition{NodeRegion: make([]int, n)}
@@ -80,16 +81,26 @@ func PartitionGraph(g *Graph) *Partition {
 	}
 	// Region indices in order of first appearance over ascending node
 	// IDs — equivalently, regions sorted by smallest parent node ID.
-	rootRegion := make(map[int]int)
+	// Unions keep the smaller root, so a component's root is its
+	// smallest node and is visited before every other node of it.
 	for _, nd := range g.Nodes {
 		r := find(nd.ID)
-		ri, ok := rootRegion[r]
-		if !ok {
-			ri = len(p.Regions)
-			rootRegion[r] = ri
-			p.Regions = append(p.Regions, &Region{Graph: New()})
+		if r == nd.ID {
+			p.NodeRegion[r] = len(p.Regions)
+			p.Regions = append(p.Regions, &Region{})
 		}
-		p.NodeRegion[nd.ID] = ri
+		p.NodeRegion[nd.ID] = p.NodeRegion[r]
+	}
+	if len(p.Regions) == 1 {
+		// IDs are dense construction-order indices, so the maps of the
+		// graph onto itself are one shared identity run.
+		nodes, ports, edges := len(g.Nodes), len(g.Ports), len(g.Edges)
+		id := make([]int, max(nodes, ports, edges))
+		for i := range id {
+			id[i] = i
+		}
+		*p.Regions[0] = Region{Graph: g, Nodes: id[:nodes:nodes], Ports: id[:ports:ports], Edges: id[:edges:edges]}
+		return p
 	}
 	// Size every region's graph and index lists up front.
 	type size struct{ nodes, ports, edges int }
@@ -104,6 +115,7 @@ func PartitionGraph(g *Graph) *Partition {
 	}
 	for ri, reg := range p.Regions {
 		sz := sizes[ri]
+		reg.Graph = New()
 		reg.Graph.reserve(sz.nodes, sz.ports, sz.edges)
 		reg.Nodes = make([]int, 0, sz.nodes)
 		reg.Ports = make([]int, 0, sz.ports)

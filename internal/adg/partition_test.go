@@ -99,7 +99,8 @@ func TestPartitionComponents(t *testing.T) {
 }
 
 // TestPartitionTrivial pins the degenerate shapes: an empty graph has
-// zero regions and a connected graph exactly one with identity maps.
+// zero regions and a connected graph exactly one, which is the graph
+// itself with identity maps.
 func TestPartitionTrivial(t *testing.T) {
 	if p := PartitionGraph(New()); len(p.Regions) != 0 {
 		t.Errorf("empty graph: %d regions, want 0", len(p.Regions))
@@ -112,6 +113,13 @@ func TestPartitionTrivial(t *testing.T) {
 		t.Fatalf("connected graph: %d regions, want 1", len(p.Regions))
 	}
 	r := p.Regions[0]
+	if r.Graph != g {
+		t.Error("connected graph: region graph is a copy, want g itself")
+	}
+	if len(r.Nodes) != len(g.Nodes) || len(r.Ports) != len(g.Ports) || len(r.Edges) != len(g.Edges) {
+		t.Errorf("connected graph: maps cover %d nodes, %d ports, %d edges, want %d, %d, %d",
+			len(r.Nodes), len(r.Ports), len(r.Edges), len(g.Nodes), len(g.Ports), len(g.Edges))
+	}
 	for i, id := range r.Nodes {
 		if id != i {
 			t.Errorf("node map[%d] = %d, want identity", i, id)

@@ -64,11 +64,11 @@ func Protect[T any](label string, f func() (T, error)) (res T, err error) {
 // recovered at the slot boundary (see PanicError) after the slot's
 // lease and scratch state have been returned by their defers.
 //
-// The batch shares Options.Cache across its solves — duplicate graphs
-// collapse to a single pipeline execution (concurrent duplicates via
-// the cache's singleflight, later ones via plain hits) and the
-// duplicates receive the shared result rehydrated onto their own
-// graphs. When Options.Cache is nil a batch-local cache (sized to the
+// The batch shares Options.Cache across its solves — each distinct
+// region of the duplicate graphs runs the pipeline once (concurrent
+// duplicates via the cache's singleflight, later ones via plain hits)
+// and the duplicates receive the shared results reassembled onto their
+// own graphs. When Options.Cache is nil a batch-local cache (sized to the
 // batch) provides the same dedup without persisting anything.
 //
 // All solver state is scratch-pooled on the scheduler, so a

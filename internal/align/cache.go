@@ -20,9 +20,9 @@ import (
 // two tiers, each an instance of one implementation (tier):
 //
 //   - the pipeline tier maps cacheKey — a SHA-256 over a canonical
-//     serialization of the ADG plus every option that affects the
-//     computed alignment — to the pipeline's *Result, for whole
-//     programs and, under Options.Partition, for each region;
+//     serialization of one region's graph (a weakly connected component
+//     of the ADG) plus every option that affects the computed
+//     alignment — to the pipeline's *Result for that region;
 //   - the source tier (srcmemo.go) maps SourceKeyOf — the normalized
 //     token stream of a program plus the same option fingerprint — to
 //     the front end's completed result, in front of the whole pipeline.
@@ -64,7 +64,8 @@ func NewCache(capacity int) *Cache {
 	return c
 }
 
-// Len returns the number of cached pipeline results.
+// Len returns the number of cached pipeline results (one per distinct
+// region).
 func (c *Cache) Len() int { return c.pipe.len() }
 
 // Counters returns the cumulative hit and miss counts of pipeline
@@ -468,13 +469,6 @@ func (w *keyWriter) key() SourceKey {
 // block-split solve and the whole-problem solve agree on the objective,
 // but the per-block engines may round a different optimal vertex than
 // the monolithic simplex.
-// Partition is keyed even though the computed alignment is identical
-// either way: the toggle changes what a solve teaches the cache
-// (per-region entries and region-hit accounting), so runs under
-// different settings must not masquerade as each other's results.
-// Region subproblems are keyed with Partition=false, which makes a
-// region entry identical to the whole-program entry of the same
-// program solved standalone with partitioning off.
 func (w *keyWriter) options(opts Options) {
 	off := opts.Offset.withDefaults()
 	rounds := opts.ReplicationRounds
@@ -492,7 +486,6 @@ func (w *keyWriter) options(opts Options) {
 	w.int(int64(opts.AxisStride.withDefaults().Restarts))
 	w.int(int64(off.Engine))
 	w.boolean(off.NoNetPath)
-	w.boolean(opts.Partition)
 	w.int(int64(off.Presolve))
 }
 
@@ -567,63 +560,4 @@ func cacheKey(g *adg.Graph, opts Options) SourceKey {
 	key := w.key()
 	keyWriterPool.Put(w)
 	return key
-}
-
-// rehydrate rebinds a cached result to g, a graph whose canonical
-// serialization matched the cached one: every node, port, and edge ID
-// denotes the same structural element, so edge lists remap by ID and
-// per-port tables copy over unchanged. Label, stride, and offset values
-// (ASLabel, expr.Affine) are immutable and shared with the cached
-// result; the containers are fresh so callers may extend them freely.
-func (r *Result) rehydrate(g *adg.Graph) *Result {
-	as := &AxisStrideResult{
-		Labels: make(map[int]ASLabel, len(r.AxisStride.Labels)),
-		Cost:   r.AxisStride.Cost,
-		Stats:  r.AxisStride.Stats,
-	}
-	for id, l := range r.AxisStride.Labels {
-		as.Labels[id] = l
-	}
-	for _, e := range r.AxisStride.GeneralEdges {
-		as.GeneralEdges = append(as.GeneralEdges, g.Edges[e.ID])
-	}
-	repl := &ReplResult{
-		PortRepl:  make(map[int][]bool, len(r.Repl.PortRepl)),
-		PerAxis:   append([]int64{}, r.Repl.PerAxis...),
-		Broadcast: r.Repl.Broadcast,
-		CutEdges:  make([][]*adg.Edge, len(r.Repl.CutEdges)),
-	}
-	for id, v := range r.Repl.PortRepl {
-		repl.PortRepl[id] = append([]bool{}, v...)
-	}
-	for t, cut := range r.Repl.CutEdges {
-		for _, e := range cut {
-			repl.CutEdges[t] = append(repl.CutEdges[t], g.Edges[e.ID])
-		}
-	}
-	off := &OffsetResult{
-		Offsets:       make(map[int][]expr.Affine, len(r.Offset.Offsets)),
-		Approx:        r.Offset.Approx,
-		Exact:         r.Offset.Exact,
-		LPVariables:   r.Offset.LPVariables,
-		LPConstraints: r.Offset.LPConstraints,
-		Solves:        r.Offset.Solves,
-		Shared:        r.Offset.Shared,
-		Stats:         r.Offset.Stats,
-	}
-	for id, v := range r.Offset.Offsets {
-		off.Offsets[id] = append([]expr.Affine{}, v...)
-	}
-	out := &Result{
-		Graph:      g,
-		AxisStride: as,
-		Repl:       repl,
-		Offset:     off,
-		Cost:       r.Cost,
-		CacheHit:   true,
-		Regions:    r.Regions,
-		RegionHits: r.RegionHits,
-	}
-	out.Assignment = out.BuildAssignment()
-	return out
 }

@@ -26,26 +26,18 @@ type Options struct {
 	// and replication discarding edges from the offset problem).
 	// Default 2.
 	ReplicationRounds int
-	// Cache, when non-nil, memoizes completed results content-addressed
-	// by the ADG and the result-affecting options: aligning an unchanged
-	// program again returns the cached alignment (rebound to the caller's
-	// graph) without running any solver, and concurrent solves of the
-	// same content key collapse to one pipeline execution (singleflight).
-	// See NewCache.
+	// Cache, when non-nil, memoizes completed results per region — each
+	// weakly connected component of the ADG, content-addressed by its
+	// canonical serialization and the result-affecting options — so an
+	// unchanged program runs no solver, and after an edit only the
+	// edited components re-solve. Concurrent solves of one key run the
+	// pipeline once (singleflight). See NewCache.
 	Cache *Cache
 
-	// Partition enables compositional solving on top of the (always-on)
-	// component decomposition: each weakly connected component of the
-	// ADG is content-addressed on its own and solved through Cache with
-	// singleflight semantics, and components fan out as the parallelism
-	// grain. A one-component edit to a multi-component program then
-	// misses only the whole-program key — every untouched component is
-	// a warm region hit and only the edited one re-solves. The computed
-	// alignment is byte-identical with Partition on or off at every
-	// parallelism level (the decomposition itself is unconditional);
-	// the toggle is nevertheless part of the whole-program cache key,
-	// because it changes what the cache learns from a solve. Off by
-	// default; a no-op without a Cache except for region-grain fan-out.
+	// Partition is ignored.
+	//
+	// Deprecated: every solve is cut into regions, and with a Cache
+	// every region is one cache entry.
 	Partition bool
 
 	// MaxLPIter caps the simplex iterations of each LP solve of the §4
@@ -97,17 +89,15 @@ type Result struct {
 	Cost cost.Breakdown
 	// Times records per-phase wall time.
 	Times PhaseTimes
-	// CacheHit reports that this result was served from Options.Cache
-	// (phase times are zero in that case — no solver ran).
+	// CacheHit reports that every region of this result was served from
+	// Options.Cache (phase times are zero in that case — no solver ran).
 	CacheHit bool
 	// Regions is the number of weakly connected components the graph
 	// decomposed into (1 for a connected program, 0 for an empty one).
 	Regions int
 	// RegionHits is how many of those components were served from the
-	// per-region cache during this solve (always 0 with
-	// Options.Partition off, and for a whole-program cache hit — no
-	// region lookup ran; a rehydrated whole-program hit reports the
-	// leader's counts).
+	// cache during this solve, including singleflight waiters served by
+	// another caller's solve (always 0 without Options.Cache).
 	RegionHits int
 }
 
@@ -136,46 +126,11 @@ func AlignContext(ctx context.Context, g *adg.Graph, opts Options) (*Result, err
 	if opts.ReplicationRounds <= 0 {
 		opts.ReplicationRounds = 2
 	}
-	if opts.Cache == nil {
-		return alignUncached(g, opts)
-	}
-	// Cached path with singleflight: a hit returns the memoized result
-	// rebound to g; concurrent misses on the same content key run the
-	// pipeline once — the leader's result is already bound to its own
-	// graph, every waiter rehydrates the shared result onto theirs.
-	res, owned, err := opts.Cache.pipe.do(ctx, cacheKey(g, opts), func() (*Result, error) {
-		return alignUncached(g, opts)
-	})
-	if err != nil {
-		return nil, err
-	}
-	if owned {
-		return res, nil
-	}
-	return res.rehydrate(g), nil
+	return alignRegions(g, adg.PartitionGraph(g), opts)
 }
 
-// alignUncached is the compute body of the cached path: it decomposes
-// the graph into weakly connected components and solves them as
-// independent subproblems (see regions.go). The decomposition happens
-// whether or not Options.Partition is set — that keeps the result
-// byte-identical across the toggle by construction — and a connected
-// graph falls through to the monolithic solve untouched.
-func alignUncached(g *adg.Graph, opts Options) (*Result, error) {
-	part := adg.PartitionGraph(g)
-	if len(part.Regions) <= 1 {
-		res, err := alignMono(g, opts)
-		if res != nil {
-			res.Regions = len(part.Regions)
-		}
-		return res, err
-	}
-	return alignRegions(g, part, opts)
-}
-
-// alignMono runs the solver pipeline on one (connected) graph — the
-// per-region compute body, and the whole pipeline for connected
-// programs.
+// alignMono runs the solver pipeline on one connected graph: the
+// compute body of every region.
 func alignMono(g *adg.Graph, opts Options) (*Result, error) {
 	var times PhaseTimes
 	opts.AxisStride.scratch = opts.scratch
@@ -258,7 +213,7 @@ func alignMono(g *adg.Graph, opts Options) (*Result, error) {
 		}
 		times.Offsets = time.Since(t0)
 	}
-	res := &Result{Graph: g, AxisStride: as, Repl: repl, Offset: off, Times: times}
+	res := &Result{Graph: g, AxisStride: as, Repl: repl, Offset: off, Times: times, Regions: 1}
 	res.Assignment = res.BuildAssignment()
 	res.Cost = cost.Exact(g, res.Assignment)
 	return res, nil

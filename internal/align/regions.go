@@ -8,42 +8,36 @@ import (
 )
 
 // This file is the partition-solve-reassemble layer between Align and
-// the solvers. alignUncached decomposes every graph into its weakly
-// connected components (adg.PartitionGraph) and solves each component as
-// an independent subproblem — the decomposition itself is unconditional,
-// so the computed alignment is byte-identical whether Options.Partition
-// is on or off, and a connected graph takes the exact monolithic path
-// it always did. Options.Partition toggles what the decomposition is
-// *used for*: per-region content-addressed caching (each component is
-// hashed with cacheKey on its extracted sub-graph and solved through
-// Options.Cache with the usual singleflight semantics) and region-grain
-// parallelism (regions fan out over a Scheduler, a coarser and
-// better-balanced grain than per-axis). After a one-component edit to a
-// multi-component program the whole-program key misses but every
-// untouched region is a warm hit — only the edited region re-solves.
-//
-// A region is solved with Partition=false sub-options, so its cache key
-// equals the whole-program key of an identical standalone program
-// solved with Partition off: region entries and whole-program entries
-// share one namespace and one cache.
+// the solvers. AlignContext decomposes every graph into its weakly
+// connected components (adg.PartitionGraph) and solves each component
+// as an independent subproblem: no edge crosses components, and every
+// objective is a sum over edges. With Options.Cache, each region is one
+// content-addressed entry (cacheKey on the region graph, solved through
+// the cache with the usual singleflight semantics). A connected program
+// is one region whose graph is the program's own, so its key is the one
+// it has solved alone; a component inside a larger program shares its
+// entry with the same component solved as a program of its own. After
+// a one-component edit to a multi-component program every untouched
+// region is a warm hit and only the edited region re-solves. Two or
+// more regions also fan out over a Scheduler, a coarser and
+// better-balanced grain than per-axis.
 
-// alignRegions solves a multi-region graph region by region and
-// reassembles the per-region results into one parent Result. Regions
-// fan out over a private Scheduler whose budget is the solve's own
-// parallelism (never the outer batch Scheduler — the caller may already
-// hold a lease there, and re-acquiring inside a held lease can
-// deadlock); each region spends its lease on solver-internal
-// parallelism. Determinism: every region solve is independent of
-// parallelism, reassembly is in canonical region order, and on failure
-// the error of the lowest-indexed failing region wins.
+// alignRegions solves a graph region by region and binds the result to
+// g. An owned single-region result is already bound to g (the region
+// graph is g itself) and is returned as it is; every other result — a
+// single-region hit or singleflight waiter, and any multi-region
+// result — is reassembled from the per-region results. Regions fan out
+// over a private Scheduler whose budget is the solve's own parallelism
+// (never the outer batch Scheduler — the caller may already hold a
+// lease there, and re-acquiring inside a held lease can deadlock); each
+// region spends its lease on solver-internal parallelism. Determinism:
+// every region solve is independent of parallelism, reassembly is in
+// canonical region order, and on failure the error of the
+// lowest-indexed failing region wins.
 func alignRegions(g *adg.Graph, part *adg.Partition, opts Options) (*Result, error) {
 	nr := len(part.Regions)
-	sub := opts
-	sub.Partition = false
 	cache := opts.Cache
-	if !opts.Partition {
-		cache = nil
-	}
+	sub := opts
 	sub.Cache = nil
 
 	results := make([]*Result, nr)
@@ -53,9 +47,6 @@ func alignRegions(g *adg.Graph, part *adg.Partition, opts Options) (*Result, err
 	width := opts.Offset.Parallelism
 	if width <= 0 {
 		width = opts.AxisStride.Parallelism
-	}
-	if !opts.Partition || width == 1 {
-		width = 1 // decomposition without the parallelism grain
 	}
 	// solve aligns region i. A positive lease caps the region's internal
 	// solver parallelism (parallel fan-out divides the solve's own
@@ -72,21 +63,17 @@ func alignRegions(g *adg.Graph, part *adg.Partition, opts Options) (*Result, err
 			results[i], errs[i] = alignMono(rg, ropts)
 			return
 		}
-		res, owned, err := cache.pipe.do(opts.ctx, cacheKey(rg, ropts), func() (*Result, error) {
+		// A hit is passed on as the cached result itself: reassembly
+		// reads it only by region port and edge ID (equal across
+		// canonically identical graphs) and copies what it keeps, so the
+		// cache entry is never written.
+		var owned bool
+		results[i], owned, errs[i] = cache.pipe.do(opts.ctx, cacheKey(rg, ropts), func() (*Result, error) {
 			return alignMono(rg, ropts)
 		})
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		// A hit is passed on as the cached result itself, not rehydrated
-		// onto rg: reassembly reads it only by region port and edge ID
-		// (equal across canonically identical graphs) and copies what it
-		// keeps, so the cache entry is never written.
 		hits[i] = !owned
-		results[i] = res
 	}
-	if width == 1 {
+	if nr < 2 || width == 1 {
 		for i := 0; i < nr; i++ {
 			if err := opts.ctxErr(); err != nil {
 				return nil, err
@@ -113,6 +100,9 @@ func alignRegions(g *adg.Graph, part *adg.Partition, opts Options) (*Result, err
 			return nil, errInternalNilRegion
 		}
 	}
+	if nr == 1 && !hits[0] {
+		return results[0], nil
+	}
 	return reassembleRegions(g, part, results, hits), nil
 }
 
@@ -121,7 +111,8 @@ func alignRegions(g *adg.Graph, part *adg.Partition, opts Options) (*Result, err
 var errInternalNilRegion = errors.New("align: internal: region solve missing")
 
 // reassembleRegions merges per-region results into one Result for the
-// parent graph. Per-port tables remap region port IDs to parent port
+// parent graph; it is the one way a cached result is rebound to a
+// caller's graph. Per-port tables remap region port IDs to parent port
 // IDs; edge lists remap to parent edges and sort by parent edge ID (the
 // canonical order — regions interleave in the parent numbering);
 // scalar costs, volumes, and effort counters sum; LP dimensions take
@@ -129,7 +120,8 @@ var errInternalNilRegion = errors.New("align: internal: region solve missing")
 // Phase times sum across the regions solved by this call, so under
 // region-parallel execution they read as aggregate solver time, not
 // wall time; a region hit (hits[ri]) is a cached result whose times
-// describe an earlier solve and adds zero. results are only read.
+// describe an earlier solve and adds zero, and CacheHit is set when
+// every region was a hit. results are only read.
 func reassembleRegions(g *adg.Graph, part *adg.Partition, results []*Result, hits []bool) *Result {
 	as := &AxisStrideResult{Labels: make(map[int]ASLabel, len(g.Ports))}
 	repl := &ReplResult{
@@ -187,6 +179,7 @@ func reassembleRegions(g *adg.Graph, part *adg.Partition, results []*Result, hit
 			out.Times.Offsets += r.Times.Offsets
 		}
 	}
+	out.CacheHit = len(results) > 0 && out.RegionHits == len(results)
 	sort.Ints(generalIDs)
 	for _, id := range generalIDs {
 		as.GeneralEdges = append(as.GeneralEdges, g.Edges[id])

@@ -28,17 +28,14 @@ m = m + transpose(n)
 x(1:20) = x(1:20) + y(3:22)
 `
 
-// regionKeys partitions g and returns the per-region content keys under
-// region sub-options (Partition off — how alignRegions keys them).
+// regionKeys partitions g and returns the per-region content keys, as
+// alignRegions keys them.
 func regionKeys(t *testing.T, g *adg.Graph, opts Options) map[SourceKey]bool {
 	t.Helper()
 	part := adg.PartitionGraph(g)
 	keys := make(map[SourceKey]bool, len(part.Regions))
-	sub := opts
-	sub.Partition = false
-	sub.Cache = nil
 	for _, r := range part.Regions {
-		keys[cacheKey(r.Graph, sub)] = true
+		keys[cacheKey(r.Graph, opts)] = true
 	}
 	return keys
 }
@@ -62,18 +59,18 @@ func TestRegionKeyRelabelInvariance(t *testing.T) {
 		}
 	}
 
-	// Global keys of the two programs differ (the whole-graph
-	// serialization sees the permuted IDs), which is exactly why
-	// whole-program caching alone cannot reuse anything here.
+	// Keys of the two whole graphs differ (their serialization sees the
+	// permuted IDs), which is exactly why the cache keys regions rather
+	// than programs.
 	if cacheKey(mustGraph(t, twoComp), opts) == cacheKey(mustGraph(t, twoCompSwapped), opts) {
 		t.Error("whole-program keys unexpectedly equal for permuted programs")
 	}
 }
 
-// TestRegionCacheIncremental: with Partition on, solving a program that
-// shares components with an earlier solve hits the per-region cache for
-// every untouched component and re-solves only the edited one — and the
-// result is identical to a partition-less solve of the same program.
+// TestRegionCacheIncremental: solving a program that shares components
+// with an earlier solve hits the per-region cache for every untouched
+// component and re-solves only the edited one — and the result is
+// identical to an uncached solve of the same program.
 func TestRegionCacheIncremental(t *testing.T) {
 	edited := `
 real X(60), Y(60), M(12,16), N(16,12)
@@ -83,7 +80,6 @@ m = m + transpose(n)
 	base := Options{Replication: true}
 
 	cold := base
-	cold.Partition = true
 	cold.Cache = NewCache(16)
 	first, err := Align(mustGraph(t, twoComp), cold)
 	if err != nil {
@@ -102,7 +98,7 @@ m = m + transpose(n)
 			warm.Regions, warm.RegionHits)
 	}
 	if warm.CacheHit {
-		t.Error("edited solve reported a whole-program cache hit")
+		t.Error("edited solve reported a cache hit with one region recomputed")
 	}
 
 	ref, err := Align(mustGraph(t, edited), base)
@@ -110,25 +106,49 @@ m = m + transpose(n)
 		t.Fatal(err)
 	}
 	if got, want := warm.Assignment.String(), ref.Assignment.String(); got != want {
-		t.Errorf("partitioned warm solve differs from whole-graph solve:\n--- partitioned\n%s\n--- whole\n%s", got, want)
+		t.Errorf("cached warm solve differs from uncached solve:\n--- cached\n%s\n--- uncached\n%s", got, want)
 	}
 	if warm.Offset.Exact != ref.Offset.Exact || warm.AxisStride.Cost != ref.AxisStride.Cost {
-		t.Errorf("costs differ: partitioned (%d, %d) vs whole (%d, %d)",
+		t.Errorf("costs differ: cached (%d, %d) vs uncached (%d, %d)",
 			warm.AxisStride.Cost, warm.Offset.Exact, ref.AxisStride.Cost, ref.Offset.Exact)
 	}
 
-	// A second identical solve short-circuits on the whole-program key:
-	// no region lookups run, the rehydrated result reports the leader's
-	// region counts.
+	// A second identical solve hits both region entries: the result is
+	// reassembled from the cache and reports a cache hit over the same
+	// two regions.
 	again, err := Align(mustGraph(t, edited), cold)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !again.CacheHit {
-		t.Error("repeat solve missed the whole-program key")
+		t.Error("repeat solve missed the cache")
 	}
 	if again.Regions != 2 {
-		t.Errorf("repeat solve Regions=%d, want 2 (copied from the cached result)", again.Regions)
+		t.Errorf("repeat solve Regions=%d, want 2", again.Regions)
+	}
+}
+
+// TestRegionEntrySharedWithStandalone: with a Cache and default
+// options, every region of a solve is a cache entry, keyed exactly as
+// the same component solved as a program of its own. Aligning twoComp
+// caches its transpose component, so aligning that component alone
+// with the same options is a hit that runs no solver.
+func TestRegionEntrySharedWithStandalone(t *testing.T) {
+	opts := Options{Replication: true, Cache: NewCache(16)}
+	if _, err := Align(mustGraph(t, twoComp), opts); err != nil {
+		t.Fatal(err)
+	}
+	computes, _ := opts.Cache.FlightStats()
+	alone, err := Align(mustGraph(t, "real M(12,16), N(16,12)\nm = m + transpose(n)\n"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !alone.CacheHit || alone.Regions != 1 || alone.RegionHits != 1 {
+		t.Errorf("standalone component: CacheHit=%v Regions=%d RegionHits=%d, want a hit on its one region",
+			alone.CacheHit, alone.Regions, alone.RegionHits)
+	}
+	if after, _ := opts.Cache.FlightStats(); after != computes {
+		t.Errorf("standalone component ran the pipeline %d more times, want 0", after-computes)
 	}
 }
 
@@ -195,9 +215,9 @@ func TestCacheCounterIdentity(t *testing.T) {
 }
 
 // TestRegionHitsReassembleFromCache: re-aligning a multi-component
-// program whose components appear in a different order misses the
-// whole-program key while every region hits. The hits are reassembled
-// straight from the cached region results: the answer equals an
+// program whose components appear in a different order hits every
+// region. The hits are reassembled straight from the cached region
+// results: the result reports a cache hit, the answer equals an
 // uncached solve, hits add no phase time, and the cache entries they
 // were read from are left as they were — a standalone solve of each
 // component served from the same cache still prints the assignment of
@@ -226,7 +246,6 @@ func TestRegionHitsReassembleFromCache(t *testing.T) {
 			base.AxisStride.Parallelism = par
 			base.Offset.Parallelism = par
 			cached := base
-			cached.Partition = true
 			cached.Cache = NewCache(32)
 
 			if _, err := Align(mustGraph(t, program(0, 1, 2, 3)), cached); err != nil {
@@ -237,8 +256,8 @@ func TestRegionHitsReassembleFromCache(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.CacheHit {
-				t.Fatal("reordered program hit the whole-program key; want a miss with region hits")
+			if !got.CacheHit {
+				t.Error("an all-hit reassembly does not report CacheHit")
 			}
 			if got.Regions != len(comps) || got.RegionHits != got.Regions {
 				t.Errorf("Regions=%d RegionHits=%d, want %d and %d", got.Regions, got.RegionHits, len(comps), len(comps))
@@ -258,8 +277,8 @@ func TestRegionHitsReassembleFromCache(t *testing.T) {
 					got.Offset.Stats.Pivots, got.AxisStride.Stats, ref.Offset.Stats.Pivots, ref.AxisStride.Stats)
 			}
 
-			// Region solves run with Partition off, so a component solved
-			// alone is served by the region entry the reassembly read.
+			// A component solved alone is one region with the same key, so
+			// it is served by the region entry the reassembly read.
 			standalone := base
 			standalone.Cache = cached.Cache
 			for i := range comps {

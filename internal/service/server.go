@@ -73,8 +73,6 @@ type Config struct {
 	Subranges int
 	// NoReplication disables §5 replication labeling.
 	NoReplication bool
-	// Partition enables compositional per-region caching.
-	Partition bool
 }
 
 // Server is the alignment daemon core. Create it with New; it serves
@@ -231,7 +229,6 @@ type SolveRequest struct {
 	Strategy  string `json:"strategy,omitempty"`
 	Subranges int    `json:"subranges,omitempty"`
 	NoRepl    *bool  `json:"norepl,omitempty"`
-	Partition *bool  `json:"partition,omitempty"`
 	// TimeoutMS bounds this solve (capped by the daemon's own
 	// SolveTimeout when both are set).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -265,7 +262,6 @@ type BatchRequest struct {
 	Strategy  string   `json:"strategy,omitempty"`
 	Subranges int      `json:"subranges,omitempty"`
 	NoRepl    *bool    `json:"norepl,omitempty"`
-	Partition *bool    `json:"partition,omitempty"`
 	// TimeoutMS bounds each slot's solve.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
@@ -334,7 +330,7 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 
 // requestOptions lowers a request's option overrides onto the daemon
 // defaults. An unknown strategy name is reported as an error.
-func (s *Server) requestOptions(strategy string, subranges int, norepl, partition *bool) (align.Options, error) {
+func (s *Server) requestOptions(strategy string, subranges int, norepl *bool) (align.Options, error) {
 	st := s.cfg.Strategy
 	if strategy != "" {
 		var err error
@@ -350,15 +346,10 @@ func (s *Server) requestOptions(strategy string, subranges int, norepl, partitio
 	if norepl != nil {
 		repl = !*norepl
 	}
-	part := s.cfg.Partition
-	if partition != nil {
-		part = *partition
-	}
 	return align.Options{
 		Offset:      align.OffsetOptions{Strategy: st, M: m},
 		Replication: repl,
 		Cache:       s.cache,
-		Partition:   part,
 	}, nil
 }
 
@@ -425,7 +416,7 @@ func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request) int {
 	if req.Source == "" {
 		return writeErr(w, http.StatusBadRequest, "missing \"source\"")
 	}
-	opts, err := s.requestOptions(req.Strategy, req.Subranges, req.NoRepl, req.Partition)
+	opts, err := s.requestOptions(req.Strategy, req.Subranges, req.NoRepl)
 	if err != nil {
 		return writeErr(w, http.StatusBadRequest, err.Error())
 	}
@@ -474,7 +465,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request) int {
 		return writeErr(w, http.StatusRequestEntityTooLarge,
 			fmt.Sprintf("batch of %d programs exceeds the %d-slot cap", n, s.cfg.MaxBatchSlots))
 	}
-	opts, err := s.requestOptions(req.Strategy, req.Subranges, req.NoRepl, req.Partition)
+	opts, err := s.requestOptions(req.Strategy, req.Subranges, req.NoRepl)
 	if err != nil {
 		return writeErr(w, http.StatusBadRequest, err.Error())
 	}

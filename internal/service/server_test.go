@@ -120,6 +120,29 @@ func TestSolveEndpoint(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestSolveIgnoresRetiredPartitionField: the request decoder is
+// lenient, so a client that still sends the retired "partition" option
+// gets its solve (every solve is cached by region now).
+func TestSolveIgnoresRetiredPartitionField(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	body, err := json.Marshal(map[string]any{"source": fig1Src, "partition": true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ts.Client().Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got SolveResponse
+	decodeInto(t, resp, &got)
+	if resp.StatusCode != http.StatusOK || got.Report == "" {
+		t.Errorf("status = %d, want 200 with a report", resp.StatusCode)
+	}
+}
+
 func TestSolveRequestErrors(t *testing.T) {
 	srv := New(Config{Workers: 1})
 	ts := httptest.NewServer(srv)

@@ -52,10 +52,9 @@ func multiComponentSrc(k int, pick func(i int) (v int64, kind int)) string {
 
 // TestPartitionDeterminism is the acceptance gate of the compositional
 // layer: reports are byte-identical (wall-time lines excluded, as in
-// every determinism test) with Options.Partition on and off, at
-// Parallelism 1, 2, and 8, cold and warm — the decomposition is
-// structural, the toggle only changes caching and the parallelism
-// grain.
+// every determinism test) with and without a cache, at Parallelism 1,
+// 2, and 8, cold and warm — the decomposition is structural, and the
+// per-region cache only changes what is recomputed.
 func TestPartitionDeterminism(t *testing.T) {
 	sources := map[string]string{
 		"two": multiComponentSrc(2, func(i int) (int64, int) { return int64(i), i }),
@@ -64,15 +63,16 @@ func TestPartitionDeterminism(t *testing.T) {
 	for name, src := range sources {
 		t.Run(name, func(t *testing.T) {
 			var base string
-			for _, partition := range []bool{false, true} {
+			for _, cached := range []bool{false, true} {
 				for _, par := range []int{1, 2, 8} {
 					opts := DefaultOptions()
 					opts.Parallelism = par
-					opts.Partition = partition
-					opts.Cache = NewCache(64)
+					if cached {
+						opts.Cache = NewCache(64)
+					}
 					cold, err := AlignSource(src, opts)
 					if err != nil {
-						t.Fatalf("partition=%v par=%d: %v", partition, par, err)
+						t.Fatalf("cached=%v par=%d: %v", cached, par, err)
 					}
 					if name == "ten" && cold.Align.Regions < 8 {
 						t.Fatalf("composed program split into %d regions, want >= 8", cold.Align.Regions)
@@ -81,24 +81,23 @@ func TestPartitionDeterminism(t *testing.T) {
 					if base == "" {
 						base = rep
 					} else if rep != base {
-						t.Errorf("partition=%v par=%d: report differs from partition=false par=1:\n--- base\n%s\n--- got\n%s",
-							partition, par, base, rep)
+						t.Errorf("cached=%v par=%d: report differs from cached=false par=1:\n--- base\n%s\n--- got\n%s",
+							cached, par, base, rep)
 					}
-					// Warm repeat against the same cache: a hit — normally
-					// from the source memo tier in front of the pipeline,
-					// or from the whole-program pipeline key when the memo
-					// is bypassed — must render the same normalized report
-					// as the cold solve.
+					// Warm repeat: with a cache, a hit — normally from the
+					// source memo tier in front of the pipeline, or from
+					// the region entries when the memo is bypassed — must
+					// render the same normalized report as the cold solve.
 					warm, err := AlignSource(src, opts)
 					if err != nil {
-						t.Fatalf("partition=%v par=%d warm: %v", partition, par, err)
+						t.Fatalf("cached=%v par=%d warm: %v", cached, par, err)
 					}
-					if !warm.MemoHit && !warm.Align.CacheHit {
-						t.Errorf("partition=%v par=%d: warm repeat missed both cache tiers", partition, par)
+					if cached && !warm.MemoHit && !warm.Align.CacheHit {
+						t.Errorf("par=%d: warm repeat missed both cache tiers", par)
 					}
 					if rep := normalizeBatchReport(warm.Report()); rep != base {
-						t.Errorf("partition=%v par=%d: warm report differs:\n--- base\n%s\n--- warm\n%s",
-							partition, par, base, rep)
+						t.Errorf("cached=%v par=%d: warm report differs:\n--- base\n%s\n--- warm\n%s",
+							cached, par, base, rep)
 					}
 				}
 			}
@@ -106,10 +105,10 @@ func TestPartitionDeterminism(t *testing.T) {
 	}
 }
 
-// TestPartitionTestdataEquivalence runs every corpus program through
-// both sides of the toggle: the testdata programs are connected
-// (single-region), so this pins that the partition layer leaves the
-// monolithic path byte-for-byte alone.
+// TestPartitionTestdataEquivalence runs every corpus program with and
+// without a cache: the testdata programs are connected (single-region),
+// so this pins that the cached region path leaves the monolithic
+// answer byte-for-byte alone.
 func TestPartitionTestdataEquivalence(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "batch", "*.dp"))
 	if err != nil || len(files) == 0 {
@@ -124,20 +123,21 @@ func TestPartitionTestdataEquivalence(t *testing.T) {
 			}
 			src := string(raw)
 			var base string
-			for _, partition := range []bool{false, true} {
+			for _, cached := range []bool{false, true} {
 				opts := DefaultOptions()
 				opts.Parallelism = 8
-				opts.Partition = partition
-				opts.Cache = NewCache(16)
+				if cached {
+					opts.Cache = NewCache(16)
+				}
 				res, err := AlignSource(src, opts)
 				if err != nil {
-					t.Fatalf("partition=%v: %v", partition, err)
+					t.Fatalf("cached=%v: %v", cached, err)
 				}
 				rep := normalizeBatchReport(res.Report())
 				if base == "" {
 					base = rep
 				} else if rep != base {
-					t.Errorf("report differs across the Partition toggle:\n--- off\n%s\n--- on\n%s", base, rep)
+					t.Errorf("report differs with a cache:\n--- uncached\n%s\n--- cached\n%s", base, rep)
 				}
 			}
 		})
@@ -146,7 +146,7 @@ func TestPartitionTestdataEquivalence(t *testing.T) {
 
 // TestPartitionPropertyCompositions is the randomized half of the
 // property suite: seeded random multi-component compositions solve
-// byte-identically (normalized) with partitioning on and off at
+// byte-identically (normalized) with and without a cache at
 // parallelism 1, 2, and 8.
 func TestPartitionPropertyCompositions(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
@@ -160,22 +160,23 @@ func TestPartitionPropertyCompositions(t *testing.T) {
 			return int64(rng.Intn(32)), rng.Intn(4)
 		})
 		var base string
-		for _, partition := range []bool{false, true} {
+		for _, cached := range []bool{false, true} {
 			for _, par := range []int{1, 2, 8} {
 				opts := DefaultOptions()
 				opts.Parallelism = par
-				opts.Partition = partition
-				opts.Cache = NewCache(64)
+				if cached {
+					opts.Cache = NewCache(64)
+				}
 				res, err := AlignSource(src, opts)
 				if err != nil {
-					t.Fatalf("trial %d partition=%v par=%d: %v\nprogram:\n%s", trial, partition, par, err, src)
+					t.Fatalf("trial %d cached=%v par=%d: %v\nprogram:\n%s", trial, cached, par, err, src)
 				}
 				rep := normalizeBatchReport(res.Report())
 				if base == "" {
 					base = rep
 				} else if rep != base {
-					t.Fatalf("trial %d partition=%v par=%d: report diverged\nprogram:\n%s\n--- base\n%s\n--- got\n%s",
-						trial, partition, par, src, base, rep)
+					t.Fatalf("trial %d cached=%v par=%d: report diverged\nprogram:\n%s\n--- base\n%s\n--- got\n%s",
+						trial, cached, par, src, base, rep)
 				}
 			}
 		}
@@ -185,8 +186,8 @@ func TestPartitionPropertyCompositions(t *testing.T) {
 // TestRegionCostMatchesExact checks the cost a decomposed solve
 // reports — the sum of its regions' costs, cached with each region —
 // against cost.Exact over the whole program, through a stream of
-// one-component edits against one partitioned cache, so most regions
-// are served from the cache.
+// one-component edits against one cache, so most regions are served
+// from the cache.
 func TestRegionCostMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	const k = 6
@@ -196,7 +197,6 @@ func TestRegionCostMatchesExact(t *testing.T) {
 		vs[i], kinds[i] = int64(rng.Intn(32)), i%4
 	}
 	opts := DefaultOptions()
-	opts.Partition = true
 	opts.Cache = NewCache(256)
 	hits, costly := 0, 0
 	for edit := 0; edit < 12; edit++ {
