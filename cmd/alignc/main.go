@@ -114,7 +114,7 @@ func run() int {
 			fatal(err)
 		}
 		src = string(data)
-	} else if *batch == "" {
+	} else if *batch == "" && *editstream <= 0 {
 		fmt.Fprintln(os.Stderr, "alignc: no input file; compiling the paper's Figure 1 fragment")
 	}
 

@@ -141,7 +141,8 @@ func TestBatchCleanRunExitsZero(t *testing.T) {
 
 // TestEditStreamRegionHits: -editstream needs no flag to cache by
 // region, so every one-component edit of a 4-component program re-solves
-// only the edited component and hits the other three.
+// only the edited component and hits the other three. It compiles no
+// file, so stderr must not announce the Figure 1 fallback.
 func TestEditStreamRegionHits(t *testing.T) {
 	bin := buildAlignc(t)
 	var stdout, stderr bytes.Buffer
@@ -162,6 +163,9 @@ func TestEditStreamRegionHits(t *testing.T) {
 	}
 	if edits != 4 {
 		t.Errorf("got %d edit lines, want 4:\n%s", edits, &stdout)
+	}
+	if strings.Contains(stderr.String(), "Figure 1") {
+		t.Errorf("-editstream compiles no file, yet stderr names the Figure 1 fallback:\n%s", &stderr)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -16,75 +18,39 @@ import (
 
 // The per-template-axis offset problems solve on a worker pool and merge
 // in axis order, so the pipeline must produce byte-identical alignments
-// for every Parallelism setting. These are the example programs, a
+// for every Parallelism setting. determinismSources maps each program of
+// testdata/corpus, by file name, to its source: the example programs, a
 // rank-4 workload that actually exercises the multi-axis fan-out, and
-// two straight-line shift programs that reach the network flow path.
-var determinismSources = map[string]string{
-	"fig1": `
-real A(100,100), V(200)
-do k = 1, 100
-  A(k,1:100) = A(k,1:100) + V(k:k+99)
-enddo
-`,
-	"stencil": `
-real U(200), F(200)
-do k = 1, 100
-  U(k:k+99) = U(k:k+99) + F(k:k+99)
-  F(k:k+99) = F(k:k+99) * 2
-enddo
-`,
-	"transpose": `
-real B(512,256), C(256,512)
-B = B + transpose(C)
-B = B * 2
-C = transpose(B)
-`,
-	"spreadloop": `
-real T(100), B(100,200)
-do k = 1, 200
-  T = cos(T)
-  B = B + spread(T, 2, 200)
-enddo
-`,
-	"tablelookup": `
-real DATA(4096), TABLE(256), IDX(4096), OUT(4096)
-do k = 1, 8
-  OUT = OUT + TABLE(IDX)
-  DATA = DATA * OUT
-enddo
-`,
-	"rank4": `
-real A(24,24,24,24), B(24,24,24,24), C(24,24,24,24)
-do k = 1, 8
-  A(k:k+8,1:24,1:24,1:24) = A(k:k+8,1:24,1:24,1:24) + B(k+1:k+9,1:24,1:24,1:24)
-  B(k:k+8,1:24,1:24,1:24) = B(k:k+8,1:24,1:24,1:24) * 2
-  C(k:k+8,1:24,1:24,1:24) = C(k:k+8,1:24,1:24,1:24) + A(k+1:k+9,1:24,1:24,1:24)
-enddo
-`,
-	// A straight-line (LIV-free) 2D shift program: every per-axis
-	// offset RLP is network-shaped, so the flow path answers all of
-	// them without running any simplex.
-	"shift2d": `
-real A(100,100), B(100,100), C(100,100)
-A(1:98,1:98) = B(3:100,2:99) + C(2:99,3:100)
-C(1:98,1:98) = A(2:99,2:99) * 2
-B(1:98,1:98) = A(1:98,1:98) + C(1:98,1:98)
-`,
-	// A loop whose ports carry LIV coefficients (the T/U group: its θ
-	// rows couple (c0, ck) pairs, which no network model can express)
-	// beside a straight-line shift group (A/B/C) sharing no arrays with
-	// it. Whole-problem NetworkForm fails on the mobile rows, so the
-	// monolithic engine makes zero net solves; the presolver splits
-	// each axis into two blocks and answers the straight-line block on
-	// the flow path (pinned by TestPresolveDeterminism).
-	"mixed": `
-real A(100,100), B(100,100), C(100,100), T(100,100), U(100,100)
-do k = 1, 50
-  T(k,1:100) = T(k,1:100) + U(k,1:100)
-enddo
-A(1:98,1:98) = B(3:100,2:99) + C(2:99,3:100)
-C(1:98,1:98) = A(2:99,2:99) * 2
-`,
+// two programs that reach the network flow path:
+//   - shift2d, a LIV-free 2D shift program: every per-axis offset RLP is
+//     network-shaped, so the flow path answers all of them without
+//     running any simplex;
+//   - mixed, a loop whose ports carry LIV coefficients (the T/U group:
+//     its θ rows couple (c0, ck) pairs, which no network model can
+//     express) beside a straight-line shift group (A/B/C) sharing no
+//     arrays with it. Whole-problem NetworkForm fails on the mobile
+//     rows, so the monolithic engine makes zero net solves; the
+//     presolver splits each axis into two blocks and answers the
+//     straight-line block on the flow path (pinned by
+//     TestPresolveDeterminism).
+//
+// The internal packages' tests read the same files.
+var determinismSources = readCorpus()
+
+func readCorpus() map[string]string {
+	files, err := filepath.Glob("testdata/corpus/*.dp")
+	if err != nil || len(files) == 0 {
+		panic(fmt.Sprintf("testdata/corpus: %d files, %v", len(files), err))
+	}
+	srcs := map[string]string{}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			panic(err)
+		}
+		srcs[strings.TrimSuffix(filepath.Base(f), ".dp")] = string(data)
+	}
+	return srcs
 }
 
 // TestParallelismDeterminism checks that sequential (Parallelism=1) and

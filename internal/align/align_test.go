@@ -332,7 +332,7 @@ func TestOffsetFeasibilityAfterRounding(t *testing.T) {
 		t.Helper()
 		for axis := 0; axis < g.TemplateRank; axis++ {
 			ax := &axisSolver{g: g, as: as, repl: repl, axis: axis, opts: OffsetOptions{}.withDefaults()}
-			if !ax.feasible(off.Offsets) {
+			if !oracleFeasible(ax, off.Offsets) {
 				t.Errorf("%s: rounded offsets infeasible on axis %d", what, axis)
 			}
 		}
@@ -426,5 +426,117 @@ func TestParseStrategy(t *testing.T) {
 	}
 	if _, err := ParseStrategy("bogus"); err == nil || err.Error() != `unknown strategy "bogus"` {
 		t.Errorf("ParseStrategy(bogus) error = %v", err)
+	}
+}
+
+// oracleFeasible is the independent check the node tables are tested
+// against: it reports whether the node constraints of ax's axis hold
+// for the offsets, evaluating each as an equation of expr.Affine
+// offsets (a transformer's by substituting its loop variable).
+func oracleFeasible(ax *axisSolver, offsets map[int][]expr.Affine) bool {
+	ok := true
+	check := func(a, b *adg.Port, delta expr.Affine) {
+		lhs := offsets[a.ID][ax.axis]
+		rhs := offsets[b.ID][ax.axis].Add(delta)
+		if !lhs.Equal(rhs) {
+			ok = false
+		}
+	}
+	t := ax.axis
+	zero := expr.Const(0)
+	for _, n := range ax.g.Nodes {
+		switch n.Kind {
+		case adg.KindOp, adg.KindMerge, adg.KindFanout, adg.KindBranch:
+			ref := n.Out[0]
+			for _, p := range n.In {
+				check(p, ref, zero)
+			}
+			for _, p := range n.Out[1:] {
+				check(p, ref, zero)
+			}
+		case adg.KindTranspose:
+			check(n.Out[0], n.In[0], zero)
+		case adg.KindSection:
+			oracleSection(ax, n, n.In[0], n.Out[0], offsets, &ok)
+		case adg.KindSectionAssign:
+			check(n.Out[0], n.In[0], zero)
+			oracleSection(ax, n, n.In[0], n.In[1], offsets, &ok)
+		case adg.KindSpread:
+			outLabel := ax.as.Labels[n.Out[0].ID]
+			spreadAxis := -1
+			if n.SpreadDim-1 < len(outLabel.AxisMap) {
+				spreadAxis = outLabel.AxisMap[n.SpreadDim-1]
+			}
+			if t != spreadAxis {
+				check(n.Out[0], n.In[0], zero)
+			}
+		case adg.KindReduce:
+			if n.ReduceDim == 0 {
+				continue
+			}
+			inLabel := ax.as.Labels[n.In[0].ID]
+			if t != inLabel.AxisMap[n.ReduceDim-1] {
+				check(n.Out[0], n.In[0], zero)
+			}
+		case adg.KindXform:
+			x := n.Xform
+			in, out := offsets[n.In[0].ID][t], offsets[n.Out[0].ID][t]
+			switch x.Kind {
+			case adg.XformEntry:
+				want := out.Subst(x.LIV, x.Lo)
+				if !in.Equal(want) {
+					ok = false
+				}
+			case adg.XformLoopBack:
+				want := in.Subst(x.LIV, expr.Var(x.LIV).Add(x.Step))
+				if !want.Equal(out) {
+					ok = false
+				}
+			case adg.XformExit:
+				want := in.Subst(x.LIV, lastIterate(x))
+				if !out.Equal(want) {
+					ok = false
+				}
+			}
+		}
+		if !ok {
+			return false
+		}
+	}
+	return ok
+}
+
+func oracleSection(ax *axisSolver, n *adg.Node, whole, sec *adg.Port, offsets map[int][]expr.Affine, ok *bool) {
+	t := ax.axis
+	label := ax.as.Labels[whole.ID]
+	d := -1
+	for dd, a := range label.AxisMap {
+		if a == t {
+			d = dd
+			break
+		}
+	}
+	var delta expr.Affine
+	if d < 0 {
+		delta = expr.Const(0)
+	} else {
+		sub := n.Section.Subs[d]
+		if sub.IsVector {
+			return
+		}
+		pos := sub.Index
+		if sub.IsRange {
+			pos = sub.Lo
+		}
+		var good bool
+		delta, good = mulAffine(pos.AddConst(-1), label.Stride[d])
+		if !good {
+			delta = expr.Const(0)
+		}
+	}
+	lhs := offsets[sec.ID][t]
+	rhs := offsets[whole.ID][t].Add(delta)
+	if !lhs.Equal(rhs) {
+		*ok = false
 	}
 }

@@ -199,18 +199,6 @@ func newCoefLayout(g *adg.Graph) *coefLayout {
 		}
 		n += len(p.Space.LIVs)
 	}
-	// Transformers name their loop variable and the bounds of the
-	// enclosing loops; nodeMove shifts coefficients by those names.
-	for _, nd := range g.Nodes {
-		if nd.Kind != adg.KindXform {
-			continue
-		}
-		x := nd.Xform
-		add(x.LIV)
-		for _, a := range [...]expr.Affine{x.Lo, x.Step, lastIterate(x)} {
-			a.EachTerm(func(t expr.Term) bool { add(t.Var); return true })
-		}
-	}
 	lay.stride = 1 + len(lay.livs)
 	flat := make([]int, 0, n)
 	lay.portLivs = make([][]int, len(g.Ports))
@@ -260,6 +248,22 @@ func (lay *coefLayout) hasLiv(port, li int) bool {
 	return false
 }
 
+// nodeCoefs returns -1 (the constant term), then the loop variables of
+// n's ports in first-seen order, in buf's storage.
+func (lay *coefLayout) nodeCoefs(n *adg.Node, buf []int) []int {
+	buf = append(buf[:0], -1)
+	for _, ports := range [2][]*adg.Port{n.In, n.Out} {
+		for _, p := range ports {
+			for _, li := range lay.portLivs[p.ID] {
+				if !slices.Contains(buf, li) {
+					buf = append(buf, li)
+				}
+			}
+		}
+	}
+	return buf
+}
+
 // Offsets solves mobile offset alignment (§4) for every template axis
 // under the given axis/stride labels and replication labeling. The axes
 // are independent problems and solve concurrently under
@@ -291,6 +295,8 @@ type axisSolver struct {
 	axis int
 	opts OffsetOptions
 	lay  *coefLayout
+	// table holds the axis's node constraints, compiled once.
+	table *nodeTable
 
 	arena *lp.Arena // tableau storage reused across this axis's solves
 	stats *lp.Stats // per-axis effort accounting (merged post-join)
@@ -516,9 +522,13 @@ func (ax *axisSolver) buildRLP(parts map[int][]space.Space) (*lp.Problem, []lp.V
 		}
 	}
 
-	// Node constraints.
-	for _, n := range ax.g.Nodes {
-		b.nodeConstraints(n)
+	// Node constraints, from the axis's compiled table.
+	tab := ax.table
+	for _, r := range tab.rows {
+		for _, tm := range tab.terms[r.start:r.end] {
+			b.row = append(b.row, lp.Term{V: b.col(int(tm.slot)), A: float64(tm.c)})
+		}
+		b.emit(lp.EQ, float64(r.rhs))
 	}
 	// Anchor the constant coefficient of the lowest port in each
 	// connected component to remove translation freedom.
@@ -724,189 +734,6 @@ func allZero(m []int64) bool {
 	return true
 }
 
-// eq emits π_a = π_c + δ coefficient-wise over the common space: one
-// row per coefficient, in a fixed order (constant term, then a's LIVs,
-// then c's extras) so the constraint system — and with it which of
-// several degenerate optima the simplex selects — is reproducible.
-func (b *rlpBuilder) eq(a, c *adg.Port, delta expr.Affine) {
-	lay := b.ax.lay
-	row := func(li int) {
-		b.term(a.ID, li, 1)
-		b.term(c.ID, li, -1)
-		rhs := delta.ConstPart()
-		if li >= 0 {
-			rhs = delta.Coef(lay.livs[li])
-		}
-		b.emit(lp.EQ, float64(rhs))
-	}
-	row(-1)
-	for _, li := range lay.portLivs[a.ID] {
-		row(li)
-	}
-	for _, li := range lay.portLivs[c.ID] {
-		if !lay.hasLiv(a.ID, li) {
-			row(li)
-		}
-	}
-}
-
-// nodeConstraints emits the linear offset constraints of one node on the
-// current axis (see §2.2.2 and the node catalogue in DESIGN.md).
-func (b *rlpBuilder) nodeConstraints(n *adg.Node) {
-	t := b.ax.axis
-	zero := expr.Const(0)
-	switch n.Kind {
-	case adg.KindOp, adg.KindMerge, adg.KindFanout, adg.KindBranch:
-		ref := n.Out[0]
-		for _, p := range n.In {
-			b.eq(p, ref, zero)
-		}
-		for _, p := range n.Out[1:] {
-			b.eq(p, ref, zero)
-		}
-	case adg.KindTranspose:
-		b.eq(n.Out[0], n.In[0], zero)
-	case adg.KindSection:
-		b.sectionConstraint(n, n.In[0], n.Out[0])
-	case adg.KindSectionAssign:
-		b.eq(n.Out[0], n.In[0], zero)
-		b.sectionConstraint(n, n.In[0], n.In[1])
-	case adg.KindSpread:
-		outLabel := b.ax.as.Labels[n.Out[0].ID]
-		spreadAxis := -1
-		if n.SpreadDim-1 < len(outLabel.AxisMap) {
-			spreadAxis = outLabel.AxisMap[n.SpreadDim-1]
-		}
-		if t != spreadAxis {
-			b.eq(n.Out[0], n.In[0], zero)
-		}
-	case adg.KindReduce:
-		if n.ReduceDim == 0 {
-			return // full reduction: scalar result unconstrained
-		}
-		inLabel := b.ax.as.Labels[n.In[0].ID]
-		redAxis := inLabel.AxisMap[n.ReduceDim-1]
-		if t != redAxis {
-			b.eq(n.Out[0], n.In[0], zero)
-		}
-	case adg.KindXform:
-		b.xformConstraint(n)
-	case adg.KindGather, adg.KindSource, adg.KindSink:
-		// No offset constraints.
-	}
-}
-
-// sectionConstraint emits π_sec = π_whole + lo·stride (or index·stride)
-// on the current axis.
-func (b *rlpBuilder) sectionConstraint(n *adg.Node, whole, sec *adg.Port) {
-	t := b.ax.axis
-	label := b.ax.as.Labels[whole.ID]
-	// Find the whole-array body axis mapped to t.
-	d := -1
-	for dd, a := range label.AxisMap {
-		if a == t {
-			d = dd
-			break
-		}
-	}
-	if d < 0 {
-		// Space axis of the whole array: positions equal.
-		b.eq(sec, whole, expr.Const(0))
-		return
-	}
-	sub := n.Section.Subs[d]
-	stride := label.Stride[d]
-	var pos expr.Affine // subscript value anchoring the section's origin
-	switch {
-	case sub.IsVector:
-		return // gathered axis: unconstrained
-	case sub.IsRange:
-		pos = sub.Lo
-	default:
-		pos = sub.Index
-	}
-	// δ = (pos - 1)·stride: array index pos sits at offset_whole +
-	// (pos-1)·stride (Fortran 1-based indexing; the array origin is
-	// element 1).
-	delta, ok := mulAffine(pos.AddConst(-1), stride)
-	if !ok {
-		// Quadratic product (both mobile): conservatively force equality;
-		// the edge will pay general communication via the stride phase.
-		delta = expr.Const(0)
-	}
-	b.eq(sec, whole, delta)
-}
-
-// coefOf returns a's coefficient of livs[li], or its constant term for
-// li = -1.
-func coefOf(a expr.Affine, lay *coefLayout, li int) int64 {
-	if li < 0 {
-		return a.ConstPart()
-	}
-	return a.Coef(lay.livs[li])
-}
-
-// xformConstraint ties the coefficients across a loop boundary (§2.2.3).
-func (b *rlpBuilder) xformConstraint(n *adg.Node) {
-	lay := b.ax.lay
-	x := n.Xform
-	in, out := n.In[0].ID, n.Out[0].ID
-	k := lay.liv(x.LIV)
-	switch x.Kind {
-	case adg.XformEntry:
-		// π_in (outer) = π_out at k = lo:
-		// a_in,v = a_out,v + a_out,k·lo_v ; a_in,0 = a_out,0 + a_out,k·lo_0.
-		row := func(v int) {
-			b.term(in, v, 1)
-			b.term(out, v, -1)
-			if lv := coefOf(x.Lo, lay, v); lv != 0 {
-				b.term(out, k, -float64(lv))
-			}
-			b.emit(lp.EQ, 0)
-		}
-		row(-1)
-		for _, v := range lay.portLivs[in] {
-			row(v)
-		}
-	case adg.XformLoopBack:
-		// π_in as a function of k+step equals π_out as a function of k:
-		// a_in,k = a_out,k ; a_in,v + a_in,k·s_v = a_out,v ;
-		// a_in,0 + a_in,k·s_0 = a_out,0.
-		b.term(in, k, 1)
-		b.term(out, k, -1)
-		b.emit(lp.EQ, 0)
-		row := func(v int) {
-			b.term(in, v, 1)
-			b.term(out, v, -1)
-			if sv := coefOf(x.Step, lay, v); sv != 0 {
-				b.term(in, k, float64(sv))
-			}
-			b.emit(lp.EQ, 0)
-		}
-		row(-1)
-		for _, v := range lay.portLivs[in] {
-			if v != k {
-				row(v)
-			}
-		}
-	case adg.XformExit:
-		// π_out (outer) = π_in at k = last:
-		last := lastIterate(x)
-		row := func(v int) {
-			b.term(out, v, 1)
-			b.term(in, v, -1)
-			if lv := coefOf(last, lay, v); lv != 0 {
-				b.term(in, k, -float64(lv))
-			}
-			b.emit(lp.EQ, 0)
-		}
-		row(-1)
-		for _, v := range lay.portLivs[out] {
-			row(v)
-		}
-	}
-}
-
 // anchors returns one port ID per connected component of the
 // constraint+edge graph.
 func (ax *axisSolver) anchors() []int {
@@ -1046,45 +873,36 @@ func (ax *axisSolver) store() {
 // steepestDescent improves the exact cost on this axis by coordinate
 // descent over the rounded coefficients (the optimization step of the
 // state-space-search strategy). Because node constraints are hard, the
-// unit moves shift a whole node's ports together: every node constraint
-// is translation-invariant in each coefficient, with transformer nodes
-// needing the compensating cross-coefficient adjustments applied by
-// nodeMove. A node's coefficients are tried constant term first, then
-// its ports' loop variables in first-seen order.
+// unit moves shift a whole node's ports together and rebalance the
+// node's rows (move); a trial that breaks a row is undone. A node's
+// coefficients are tried constant term first, then its ports' loop
+// variables in first-seen order.
 func (ax *axisSolver) steepestDescent() {
 	cur := ExactOffsetCostAxis(ax.g, ax.repl, ax.offs, ax.axis)
 	var coeffs []int
+	saved := make([]int64, len(ax.ints))
 	for pass := 0; pass < 10; pass++ {
 		if ax.ctxErr() != nil {
 			return // descent only improves an already-feasible solution
 		}
 		improved := false
 		for _, n := range ax.g.Nodes {
-			coeffs = append(coeffs[:0], -1)
-			for _, ports := range [2][]*adg.Port{n.In, n.Out} {
-				for _, p := range ports {
-					for _, li := range ax.lay.portLivs[p.ID] {
-						if !slices.Contains(coeffs, li) {
-							coeffs = append(coeffs, li)
-						}
-					}
-				}
-			}
+			coeffs = ax.lay.nodeCoefs(n, coeffs)
 			for _, li := range coeffs {
 				for _, d := range [2]int64{1, -1} {
-					ax.nodeMove(n, li, d)
-					ax.store()
-					if !ax.feasible(ax.offs) {
-						ax.nodeMove(n, li, -d)
-						ax.store()
+					copy(saved, ax.ints)
+					ax.move(n, li, d)
+					if !ax.table.holds(ax.ints) {
+						copy(ax.ints, saved)
 						continue
 					}
+					ax.store()
 					c := ExactOffsetCostAxis(ax.g, ax.repl, ax.offs, ax.axis)
 					if c < cur {
 						cur = c
 						improved = true
 					} else {
-						ax.nodeMove(n, li, -d)
+						copy(ax.ints, saved)
 						ax.store()
 					}
 				}
@@ -1093,155 +911,6 @@ func (ax *axisSolver) steepestDescent() {
 		if !improved {
 			break
 		}
-	}
-}
-
-// nodeMove shifts the coefficient of livs[li] (the constant term for
-// li = -1) of every port of node n by d, applying the compensating
-// adjustments transformer constraints require when one side of the node
-// lacks the coefficient.
-func (ax *axisSolver) nodeMove(n *adg.Node, li int, d int64) {
-	lay, ints := ax.lay, ax.ints
-	for _, ports := range [2][]*adg.Port{n.In, n.Out} {
-		for _, p := range ports {
-			if li < 0 || lay.hasLiv(p.ID, li) {
-				ints[lay.slot(p.ID, li)] += d
-			}
-		}
-	}
-	if n.Kind != adg.KindXform || li < 0 || lay.livs[li] != n.Xform.LIV {
-		return
-	}
-	// The outer-side port lacks the LIV coefficient; compensate its
-	// other coefficients so the entry/exit evaluation constraint holds.
-	shift := func(port int, a expr.Affine) {
-		ints[lay.slot(port, -1)] += d * a.ConstPart()
-		a.EachTerm(func(t expr.Term) bool {
-			ints[lay.slot(port, lay.liv(t.Var))] += d * t.Coef
-			return true
-		})
-	}
-	x := n.Xform
-	switch x.Kind {
-	case adg.XformEntry:
-		// a_in,0 = a_out,0 + a_out,k·lo: out.k moved by d ⇒ in += d·lo.
-		shift(n.In[0].ID, x.Lo)
-	case adg.XformExit:
-		shift(n.Out[0].ID, lastIterate(x))
-	case adg.XformLoopBack:
-		// a_in,v + a_in,k·s_v = a_out,v: both k's moved by d ⇒
-		// out gains d·s_v on every other coefficient.
-		shift(n.Out[0].ID, x.Step)
-	}
-}
-
-// feasible checks the node constraints hold for the current offsets on
-// this axis (used by steepest descent to stay in the feasible region).
-func (ax *axisSolver) feasible(offsets map[int][]expr.Affine) bool {
-	ok := true
-	check := func(a, b *adg.Port, delta expr.Affine) {
-		lhs := offsets[a.ID][ax.axis]
-		rhs := offsets[b.ID][ax.axis].Add(delta)
-		if !lhs.Equal(rhs) {
-			ok = false
-		}
-	}
-	t := ax.axis
-	zero := expr.Const(0)
-	for _, n := range ax.g.Nodes {
-		switch n.Kind {
-		case adg.KindOp, adg.KindMerge, adg.KindFanout, adg.KindBranch:
-			ref := n.Out[0]
-			for _, p := range n.In {
-				check(p, ref, zero)
-			}
-			for _, p := range n.Out[1:] {
-				check(p, ref, zero)
-			}
-		case adg.KindTranspose:
-			check(n.Out[0], n.In[0], zero)
-		case adg.KindSection:
-			ax.checkSection(n, n.In[0], n.Out[0], offsets, &ok)
-		case adg.KindSectionAssign:
-			check(n.Out[0], n.In[0], zero)
-			ax.checkSection(n, n.In[0], n.In[1], offsets, &ok)
-		case adg.KindSpread:
-			outLabel := ax.as.Labels[n.Out[0].ID]
-			spreadAxis := -1
-			if n.SpreadDim-1 < len(outLabel.AxisMap) {
-				spreadAxis = outLabel.AxisMap[n.SpreadDim-1]
-			}
-			if t != spreadAxis {
-				check(n.Out[0], n.In[0], zero)
-			}
-		case adg.KindReduce:
-			if n.ReduceDim == 0 {
-				continue
-			}
-			inLabel := ax.as.Labels[n.In[0].ID]
-			if t != inLabel.AxisMap[n.ReduceDim-1] {
-				check(n.Out[0], n.In[0], zero)
-			}
-		case adg.KindXform:
-			x := n.Xform
-			in, out := offsets[n.In[0].ID][t], offsets[n.Out[0].ID][t]
-			switch x.Kind {
-			case adg.XformEntry:
-				want := out.Subst(x.LIV, x.Lo)
-				if !in.Equal(want) {
-					ok = false
-				}
-			case adg.XformLoopBack:
-				want := in.Subst(x.LIV, expr.Var(x.LIV).Add(x.Step))
-				if !want.Equal(out) {
-					ok = false
-				}
-			case adg.XformExit:
-				want := in.Subst(x.LIV, lastIterate(x))
-				if !out.Equal(want) {
-					ok = false
-				}
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return ok
-}
-
-func (ax *axisSolver) checkSection(n *adg.Node, whole, sec *adg.Port, offsets map[int][]expr.Affine, ok *bool) {
-	t := ax.axis
-	label := ax.as.Labels[whole.ID]
-	d := -1
-	for dd, a := range label.AxisMap {
-		if a == t {
-			d = dd
-			break
-		}
-	}
-	var delta expr.Affine
-	if d < 0 {
-		delta = expr.Const(0)
-	} else {
-		sub := n.Section.Subs[d]
-		if sub.IsVector {
-			return
-		}
-		pos := sub.Index
-		if sub.IsRange {
-			pos = sub.Lo
-		}
-		var good bool
-		delta, good = mulAffine(pos.AddConst(-1), label.Stride[d])
-		if !good {
-			delta = expr.Const(0)
-		}
-	}
-	lhs := offsets[sec.ID][t]
-	rhs := offsets[whole.ID][t].Add(delta)
-	if !lhs.Equal(rhs) {
-		*ok = false
 	}
 }
 

@@ -68,11 +68,10 @@ func newOffsetSolver(g *adg.Graph, as *AxisStrideResult, opts OffsetOptions, reu
 	lay := newCoefLayout(g)
 	n := lay.slots(len(g.Ports))
 	for t := 0; t < g.TemplateRank; t++ {
-		s.axes = append(s.axes, &axisState{
-			ax: &axisSolver{g: g, as: as, axis: t, opts: opts, lay: lay, warmAll: warm,
-				vals: make([]float64, n), ints: make([]int64, n)},
-			lead: t,
-		})
+		ax := &axisSolver{g: g, as: as, axis: t, opts: opts, lay: lay, warmAll: warm,
+			vals: make([]float64, n), ints: make([]int64, n)}
+		ax.table = ax.compileTable()
+		s.axes = append(s.axes, &axisState{ax: ax, lead: t})
 	}
 	return s
 }

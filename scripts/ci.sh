@@ -24,8 +24,8 @@ echo "== go test"
 # Includes the steady-state allocation gates (TestAxisStrideAllocs,
 # TestBatchThroughputAllocs, TestOffsetSolverPresolve*Allocs,
 # TestColdOffsetsAllocs, TestKeptOffsetsAllocs with its fig1,
-# spreadloop and rank4Src legs, TestFrontendAllocs,
-# TestHitPathZeroAlloc) next to their benchmarks.
+# spreadloop and rank4Src legs, TestNodeTableAllocs,
+# TestFrontendAllocs, TestHitPathZeroAlloc) next to their benchmarks.
 go test ./...
 
 echo "== perfbench (separate module: vet and test against this tree's API)"
